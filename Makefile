@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race bench benchall bench_baseline benchcheck allocguard chaos resumecheck servecheck distcheck logcheck fleetchaos multigpucheck clean
+.PHONY: check build vet test race fuzzcheck bench benchall bench_baseline benchcheck allocguard chaos resumecheck servecheck distcheck logcheck fleetchaos multigpucheck clean
 
 # The full verification gate: compile everything, vet, run the test
 # suite under the race detector, hold the observability layer and hot
@@ -9,8 +9,8 @@ GO ?= go
 # kill-and-recover the distributed sweep fabric, chaos-test the
 # replicated cache tier, validate the fleet's structured telemetry
 # against its schema, and hold the multi-GPU model to its determinism
-# and K=1-compatibility pins.
-check: build vet race allocguard benchcheck servecheck distcheck fleetchaos logcheck multigpucheck
+# and K=1-compatibility pins, and fuzz the cell-spec wire form.
+check: build vet race fuzzcheck allocguard benchcheck servecheck distcheck fleetchaos logcheck multigpucheck
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,11 @@ test:
 
 race:
 	$(GO) test -race -timeout 15m ./...
+
+# Cell-spec JSON fuzz smoke: 10 s of new inputs beyond the committed
+# corpus (internal/cell/testdata/fuzz), which the plain test run replays.
+fuzzcheck:
+	$(GO) test -run='^$$' -fuzz=FuzzCellSpecJSON -fuzztime=10s ./internal/cell
 
 # The curated benchmark suite: engine/driver/tree/mem microbenchmarks
 # plus the Fig. 1 macro suite, all with allocation counts and fixed

@@ -16,9 +16,9 @@ import (
 	"os"
 	"time"
 
+	"uvmsim/internal/cell"
 	"uvmsim/internal/core"
 	"uvmsim/internal/gpusim"
-	"uvmsim/internal/workloads"
 )
 
 func main() {
@@ -34,11 +34,10 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := core.DefaultConfig(*gpuMB << 20)
-	cfg.Seed = *seed
-	cfg.PrefetchPolicy = *prefetch
-	cfg.EvictPolicy = *evictPol
-	sys, err := core.NewSystem(cfg)
+	c := cell.Default()
+	c.Workload, c.GPUMemoryBytes, c.Footprint = *workload, *gpuMB<<20, *footprint
+	c.Prefetch, c.Evict, c.Seed = *prefetch, *evictPol, *seed
+	sys, err := core.NewSystem(c.Config())
 	if err != nil {
 		fatal(err)
 	}
@@ -46,13 +45,7 @@ func main() {
 		gpusim.SetDebugLog(func(f string, a ...interface{}) { fmt.Printf(f+"\n", a...) })
 		defer gpusim.SetDebugLog(nil)
 	}
-	builder, err := workloads.Get(*workload)
-	if err != nil {
-		fatal(err)
-	}
-	p := workloads.DefaultParams()
-	p.Seed = *seed + 100
-	k, err := builder(sys, int64(*footprint*float64(*gpuMB<<20)), p)
+	k, err := c.Kernel(sys)
 	if err != nil {
 		fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"os"
 
+	"uvmsim/internal/cell"
 	"uvmsim/internal/core"
 	"uvmsim/internal/driver"
 	"uvmsim/internal/workloads"
@@ -50,16 +51,13 @@ func main() {
 		fatal(err)
 	}
 
-	cfg := core.DefaultConfig(*gpuMB << 20)
-	cfg.Seed = *seed
-	cfg.PrefetchPolicy = *prefetch
-	cfg.EvictPolicy = *evictPol
 	pol, err := driver.ParseReplayPolicy(*replayPol)
 	if err != nil {
 		fatal(err)
 	}
-	cfg.Driver.Policy = pol
-	sys, err := core.NewSystem(cfg)
+	c := cell.Default()
+	c.GPUMemoryBytes, c.Seed, c.Prefetch, c.Evict, c.Replay = *gpuMB<<20, *seed, *prefetch, *evictPol, pol
+	sys, err := core.NewSystem(c.Config())
 	if err != nil {
 		fatal(err)
 	}

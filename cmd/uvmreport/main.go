@@ -17,11 +17,11 @@ import (
 	"os"
 
 	"uvmsim/internal/analyze"
+	"uvmsim/internal/cell"
 	"uvmsim/internal/core"
 	"uvmsim/internal/govern"
 	"uvmsim/internal/plot"
 	"uvmsim/internal/trace"
-	"uvmsim/internal/workloads"
 )
 
 func main() {
@@ -29,13 +29,14 @@ func main() {
 }
 
 func run() int {
+	def := cell.Default()
 	var (
-		workload  = flag.String("workload", "regular", "workload name")
-		gpuMB     = flag.Int64("gpu-mem", 96, "GPU framebuffer in MiB")
-		footprint = flag.Float64("footprint", 0.5, "data footprint as a fraction of GPU memory")
-		prefetch  = flag.String("prefetch", "density", "prefetch policy")
-		evictPol  = flag.String("evict", "lru", "eviction policy")
-		seed      = flag.Uint64("seed", 1, "simulation seed")
+		workload  = flag.String("workload", def.Workload, "workload name")
+		gpuMB     = flag.Int64("gpu-mem", def.GPUMemoryBytes>>20, "GPU framebuffer in MiB")
+		footprint = flag.Float64("footprint", def.Footprint, "data footprint as a fraction of GPU memory")
+		prefetch  = flag.String("prefetch", def.Prefetch, "prefetch policy")
+		evictPol  = flag.String("evict", def.Evict, "eviction policy")
+		seed      = flag.Uint64("seed", def.Seed, "simulation seed")
 		width     = flag.Int("width", 78, "chart width")
 		height    = flag.Int("height", 20, "chart height")
 		noChart   = flag.Bool("no-chart", false, "skip the ASCII scatter")
@@ -48,24 +49,17 @@ func run() int {
 	ctx, stop := gf.Context()
 	defer stop()
 
-	cfg := core.DefaultConfig(*gpuMB << 20)
-	cfg.Seed = *seed
-	cfg.PrefetchPolicy = *prefetch
-	cfg.EvictPolicy = *evictPol
+	c := def
+	c.Workload, c.GPUMemoryBytes, c.Footprint = *workload, *gpuMB<<20, *footprint
+	c.Prefetch, c.Evict, c.Seed, c.Budget = *prefetch, *evictPol, *seed, gf.Budget()
+	cfg := c.Config()
 	cfg.TraceCapacity = -1
 	cfg.Cancel = govern.WatchContext(ctx)
-	cfg.Budget = gf.Budget()
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
 		return fatal(err)
 	}
-	builder, err := workloads.Get(*workload)
-	if err != nil {
-		return fatal(err)
-	}
-	p := workloads.DefaultParams()
-	p.Seed = *seed + 100
-	k, err := builder(sys, int64(*footprint*float64(*gpuMB<<20)), p)
+	k, err := c.Kernel(sys)
 	if err != nil {
 		return fatal(err)
 	}

@@ -44,6 +44,7 @@ import (
 
 	"uvmsim/internal/atomicio"
 	"uvmsim/internal/cachetier"
+	"uvmsim/internal/cell"
 	"uvmsim/internal/dist"
 	"uvmsim/internal/govern"
 	"uvmsim/internal/obs"
@@ -57,18 +58,19 @@ func main() {
 }
 
 func run() int {
+	def := cell.Default()
 	var (
-		workload   = flag.String("workload", "regular", "workload name")
-		gpuMB      = flag.Int64("gpu-mem", 96, "GPU framebuffer in MiB")
-		seed       = flag.Uint64("seed", 1, "simulation seed")
-		footprints = flag.String("footprints", "0.5", "comma-separated data footprints as fractions of GPU memory")
-		prefetch   = flag.String("prefetch", "density", "comma-separated prefetch policies")
-		replay     = flag.String("replay", "batchflush", "comma-separated replay policies")
-		evictPol   = flag.String("evict", "lru", "comma-separated eviction policies")
-		batch      = flag.String("batch", "256", "comma-separated fault batch sizes")
-		vablock    = flag.String("vablock", "2048", "comma-separated VABlock sizes in KiB")
-		gpus       = flag.String("gpus", "1", "comma-separated GPU counts (multi-GPU cells add gpus=/migration= to their labels)")
-		migration  = flag.String("migration", "first-touch", "comma-separated multi-GPU migration policies (first-touch, access-counter); ignored at 1 GPU")
+		workload   = flag.String("workload", def.Workload, "workload name")
+		gpuMB      = flag.Int64("gpu-mem", def.GPUMemoryBytes>>20, "GPU framebuffer in MiB")
+		seed       = flag.Uint64("seed", def.Seed, "simulation seed")
+		footprints = flag.String("footprints", strconv.FormatFloat(def.Footprint, 'g', -1, 64), "comma-separated data footprints as fractions of GPU memory")
+		prefetch   = flag.String("prefetch", def.Prefetch, "comma-separated prefetch policies")
+		replay     = flag.String("replay", def.Replay.String(), "comma-separated replay policies")
+		evictPol   = flag.String("evict", def.Evict, "comma-separated eviction policies")
+		batch      = flag.String("batch", strconv.Itoa(def.Batch), "comma-separated fault batch sizes")
+		vablock    = flag.String("vablock", strconv.FormatInt(def.VABlock>>10, 10), "comma-separated VABlock sizes in KiB")
+		gpus       = flag.String("gpus", strconv.Itoa(def.GPUs), "comma-separated GPU counts (multi-GPU cells add gpus=/migration= to their labels)")
+		migration  = flag.String("migration", def.Migration.String(), "comma-separated multi-GPU migration policies (first-touch, access-counter); ignored at 1 GPU")
 		jobs       = flag.Int("jobs", 0, "worker goroutines fanning configs out (0 = all CPUs, 1 = serial)")
 		csvOut     = flag.Bool("csv", false, "emit CSV")
 		traceOut   = flag.String("trace", "", "write a Chrome trace-event JSON with one process per sweep cell (load in Perfetto)")

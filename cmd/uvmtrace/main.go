@@ -24,6 +24,7 @@ import (
 	"strings"
 
 	"uvmsim/internal/atomicio"
+	"uvmsim/internal/cell"
 	"uvmsim/internal/core"
 	"uvmsim/internal/driver"
 	"uvmsim/internal/govern"
@@ -32,7 +33,6 @@ import (
 	"uvmsim/internal/prof"
 	"uvmsim/internal/sim"
 	"uvmsim/internal/stats"
-	"uvmsim/internal/workloads"
 )
 
 func main() {
@@ -80,14 +80,17 @@ func run() int {
 
 	ctx, stop := gf.Context()
 	defer stop()
-	gov := governance{cancel: govern.WatchContext(ctx), budget: gf.Budget()}
+	cancel := govern.WatchContext(ctx)
 
+	c := cell.Default()
+	c.Workload, c.GPUMemoryBytes, c.Footprint, c.Prefetch = *workload, *gpuMB<<20, *footprint, *prefetch
+	c.Seed, c.GPUs, c.Migration, c.Budget = *seed, *gpus, mpol, gf.Budget()
 	collector := obs.NewCollector()
-	for _, pol := range policies {
+	for _, c.Replay = range policies {
 		if err := ctx.Err(); err != nil {
 			return failGoverned(err)
 		}
-		if err := traceOne(collector, gov, *workload, *gpuMB<<20, *footprint, *prefetch, pol, *seed, *gpus, mpol); err != nil {
+		if err := traceOne(collector, cancel, c); err != nil {
 			return failGoverned(err)
 		}
 	}
@@ -113,43 +116,22 @@ func run() int {
 	return 0
 }
 
-// governance bundles the cancellation flag and run budget stamped onto
-// every traced system.
-type governance struct {
-	cancel *sim.Cancel
-	budget sim.Budget
-}
-
-// traceOne runs the workload once under pol with full instrumentation,
-// prints the timeline and latency summary, and verifies the span stream
-// against the driver's phase breakdown.
-func traceOne(collector *obs.Collector, gov governance, workload string, gpuBytes int64, footprint float64, prefetch string, pol driver.ReplayPolicy, seed uint64, gpus int, mpol multigpu.Policy) error {
-	label := fmt.Sprintf("workload=%s policy=%s footprint=%g seed=%d", workload, pol, footprint, seed)
-	if gpus > 1 {
-		label += fmt.Sprintf(" gpus=%d migration=%s", gpus, mpol)
+// traceOne runs the cell once with full instrumentation, prints the
+// timeline and latency summary, and verifies the span stream against
+// the driver's phase breakdown.
+func traceOne(collector *obs.Collector, cancel *sim.Cancel, c cell.Spec) error {
+	label := fmt.Sprintf("workload=%s policy=%s footprint=%g seed=%d", c.Workload, c.Replay, c.Footprint, c.Seed)
+	if c.GPUs > 1 {
+		label += fmt.Sprintf(" gpus=%d migration=%s", c.GPUs, c.Migration)
 	}
-	cfg := core.DefaultConfig(gpuBytes)
-	cfg.Seed = seed
-	cfg.PrefetchPolicy = prefetch
-	cfg.Driver.Policy = pol
-	cfg.Cancel = gov.cancel
-	cfg.Budget = gov.budget
-	if gpus > 1 {
-		cfg.GPUs = gpus
-		cfg.Migration = mpol
-	}
+	cfg := c.Config()
+	cfg.Cancel = cancel
 	cfg.Obs = obs.Options{Collector: collector, Label: label, Lifecycle: true}
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
 		return err
 	}
-	builder, err := workloads.Get(workload)
-	if err != nil {
-		return err
-	}
-	p := workloads.DefaultParams()
-	p.Seed = seed + 100
-	k, err := builder(sys, int64(footprint*float64(gpuBytes)), p)
+	k, err := c.Kernel(sys)
 	if err != nil {
 		return err
 	}

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"uvmsim/internal/cell"
 	"uvmsim/internal/confighash"
 	"uvmsim/internal/dist"
 	"uvmsim/internal/govern"
@@ -238,19 +239,15 @@ func (t *Tier) transitioned(ctx context.Context, n *node, tr *Transition) {
 // the completed row when any node answers. ok=false means the tier had
 // no usable answer — server trouble, budget-tripped verdicts, or a cell
 // the wire form cannot express — and the caller must simulate locally.
-func (t *Tier) Lookup(ctx context.Context, cs dist.CellSpec) (row []string, nodeURL string, ok bool) {
+func (t *Tier) Lookup(ctx context.Context, cs cell.Spec) (row []string, nodeURL string, ok bool) {
 	if len(t.nodes) == 0 {
 		return nil, "", false
 	}
-	req, exact := cs.SimRequest()
+	req, exact := serve.SimRequestOf(cs)
 	if !exact {
 		return nil, "", false
 	}
-	label, err := cs.Label()
-	if err != nil {
-		return nil, "", false
-	}
-	key := confighash.Sum(label)
+	key := cs.Key()
 	t.count(MetricLookups)
 	tried := 0
 	limit := t.cfg.MaxFailover + 1 // owner plus failovers
@@ -344,18 +341,15 @@ func (t *Tier) lookupOne(ctx context.Context, n *node, req serve.SimRequest) ([]
 // are strictly best-effort: a dark owner (breaker open) skips, an error
 // counts and feeds the breaker, and nothing is retried — the next sweep
 // will fill again.
-func (t *Tier) Fill(ctx context.Context, cs dist.CellSpec, row []string) error {
+func (t *Tier) Fill(ctx context.Context, cs cell.Spec, row []string) error {
 	if len(t.nodes) == 0 || len(row) == 0 {
 		return nil
 	}
-	req, exact := cs.SimRequest()
+	req, exact := serve.SimRequestOf(cs)
 	if !exact {
 		return nil
 	}
-	label, err := cs.Label()
-	if err != nil {
-		return nil
-	}
+	label := cs.Label()
 	key := confighash.Sum(label)
 	n := t.nodes[t.ring.Owner(key)]
 	allowed, tr := n.breaker.Allow()
@@ -397,7 +391,7 @@ func (t *Tier) Fill(ctx context.Context, cs dist.CellSpec, row []string) error {
 // because tier hits are the same deterministic rows the fallback would
 // compute.
 func (t *Tier) Runner(fallback dist.Runner) dist.Runner {
-	return func(ctx context.Context, cs dist.CellSpec) (govern.State, []string, string) {
+	return func(ctx context.Context, cs cell.Spec) (govern.State, []string, string) {
 		if row, _, ok := t.Lookup(ctx, cs); ok {
 			return govern.StateCompleted, row, ""
 		}

@@ -9,6 +9,7 @@ import (
 
 	"uvmsim/internal/confighash"
 	"uvmsim/internal/dist"
+	"uvmsim/internal/driver"
 	"uvmsim/internal/govern"
 	"uvmsim/internal/netchaos"
 	"uvmsim/internal/serve"
@@ -23,10 +24,11 @@ func testCell(fp float64) dist.CellSpec {
 		Seed:           1,
 		Footprint:      fp,
 		Prefetch:       "none",
-		Replay:         "batchflush",
+		Replay:         driver.ReplayBatchFlush,
 		Evict:          "lru",
 		Batch:          256,
-		VABlockBytes:   2 << 20,
+		VABlock:        2 << 20,
+		GPUs:           1,
 	}
 }
 
@@ -51,11 +53,7 @@ func localRow(t *testing.T, cs dist.CellSpec) []string {
 
 func keyOf(t *testing.T, cs dist.CellSpec) string {
 	t.Helper()
-	label, err := cs.Label()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return confighash.Sum(label)
+	return confighash.Sum(cs.Label())
 }
 
 // A healthy tier answers the same row the local engine computes — the
@@ -182,7 +180,7 @@ func TestTierFillThenServerHit(t *testing.T) {
 		t.Fatalf("fills = %d, want 1", got)
 	}
 	// The node must now answer /v1/sim from its cache, not by simulating.
-	req, ok := cs.SimRequest()
+	req, ok := serve.SimRequestOf(cs)
 	if !ok {
 		t.Fatal("cell not expressible via wire form")
 	}

@@ -162,6 +162,11 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.VABlockSize == 0 {
 		cfg.VABlockSize = mem.DefaultVABlockSize
 	}
+	// Access-aware eviction ranks victims by the GPU's access counters,
+	// so choosing it (bare or under +thrash) turns them on.
+	if strings.TrimSuffix(cfg.EvictPolicy, "+thrash") == "access-aware" {
+		cfg.GPU.AccessCounters = true
+	}
 	geom, err := mem.NewGeometry(cfg.VABlockSize)
 	if err != nil {
 		return nil, err

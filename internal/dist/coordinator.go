@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"uvmsim/internal/cell"
 	"uvmsim/internal/govern"
 	"uvmsim/internal/journal"
 	"uvmsim/internal/obs"
@@ -70,7 +71,7 @@ type CoordinatorConfig struct {
 	// (internal/cachetier) plugs in. Fills run asynchronously under the
 	// cell's telemetry trace and are strictly best-effort: an error is
 	// counted, never retried, and never affects the sweep.
-	CacheFill func(ctx context.Context, cs CellSpec, row []string) error
+	CacheFill func(ctx context.Context, cs cell.Spec, row []string) error
 	// ExtraMetrics, when set, contributes additional samples to the
 	// /metrics exposition (e.g. the cache tier's breaker counters).
 	ExtraMetrics func() []obs.Sample
@@ -111,9 +112,10 @@ const (
 	cellQuarantined // retry budget exhausted
 )
 
-type cell struct {
+// entry is the coordinator's record of one cell.
+type entry struct {
 	idx       int
-	spec      CellSpec
+	spec      cell.Spec
 	label     string
 	hash      string
 	state     cellState
@@ -134,9 +136,9 @@ type Coordinator struct {
 	cfg  CoordinatorConfig
 
 	mu       sync.Mutex
-	cells    []*cell
-	byHash   map[string]*cell
-	leases   map[string]*cell
+	cells    []*entry
+	byHash   map[string]*entry
+	leases   map[string]*entry
 	leaseSeq int
 	reg      *obs.Registry
 	red      *telemetry.RED
@@ -149,7 +151,7 @@ type Coordinator struct {
 }
 
 // traceOf derives a cell's stable telemetry trace from the sweep root.
-func (co *Coordinator) traceOf(cl *cell) string {
+func (co *Coordinator) traceOf(cl *entry) string {
 	return telemetry.CellTraceID(co.cfg.TraceID, cl.idx)
 }
 
@@ -168,8 +170,8 @@ func NewCoordinator(spec *sweep.Spec, cfg CoordinatorConfig) (*Coordinator, erro
 	co := &Coordinator{
 		spec:   spec,
 		cfg:    cfg,
-		byHash: make(map[string]*cell, len(configs)),
-		leases: make(map[string]*cell),
+		byHash: make(map[string]*entry, len(configs)),
+		leases: make(map[string]*entry),
 		reg:    obs.NewRegistry(),
 		red:    telemetry.NewRED("dist_http"),
 		done:   make(chan struct{}),
@@ -181,10 +183,10 @@ func NewCoordinator(spec *sweep.Spec, cfg CoordinatorConfig) (*Coordinator, erro
 	} {
 		co.reg.Counter(name)
 	}
-	co.cells = make([]*cell, len(configs))
+	co.cells = make([]*entry, len(configs))
 	for i, c := range configs {
-		label := c.Label(spec)
-		cl := &cell{idx: i, spec: cellSpecOf(spec, c), label: label, hash: journal.Hash(label)}
+		label := c.Label()
+		cl := &entry{idx: i, spec: c, label: label, hash: journal.Hash(label)}
 		co.cells[i] = cl
 		co.byHash[cl.hash] = cl
 	}
@@ -258,7 +260,7 @@ func (co *Coordinator) journalLocked(rec journal.Record) {
 	}
 }
 
-func (co *Coordinator) record(cl *cell, status string) journal.Record {
+func (co *Coordinator) record(cl *entry, status string) journal.Record {
 	return journal.Record{
 		Label: cl.label, Hash: cl.hash, Seed: co.spec.Seed,
 		Status: status, Attempt: cl.attempt, Err: cl.errMsg,
@@ -290,7 +292,7 @@ func (co *Coordinator) expireLocked(now time.Time) {
 // quarantine is the fabric's "something is deeply wrong with this
 // cell" verdict, so it also triggers a flight-recorder dump — off the
 // lock, since the dump fsyncs.
-func (co *Coordinator) requeueLocked(cl *cell, now time.Time) {
+func (co *Coordinator) requeueLocked(cl *entry, now time.Time) {
 	cl.leaseID = ""
 	if cl.attempt >= co.cfg.RetryBudget+1 {
 		cl.state, cl.status = cellQuarantined, govern.StateQuarantined
@@ -368,7 +370,7 @@ func (co *Coordinator) Acquire(worker string) LeaseResponse {
 	if co.finished {
 		return LeaseResponse{Done: true}
 	}
-	var pick *cell
+	var pick *entry
 	for _, cl := range co.cells {
 		if cl.state == cellPending && !now.Before(cl.notBefore) {
 			pick = cl
@@ -530,7 +532,7 @@ func (co *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 // hook on its own goroutine: the completion path must never wait on a
 // network write to a cache node. Caller holds co.mu; the goroutine
 // re-takes it only to bump counters.
-func (co *Coordinator) dispatchFillLocked(cl *cell) {
+func (co *Coordinator) dispatchFillLocked(cl *entry) {
 	if co.cfg.CacheFill == nil {
 		return
 	}

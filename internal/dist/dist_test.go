@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"path/filepath"
@@ -29,6 +30,32 @@ func smallSpec() *sweep.Spec {
 		Batch:          []int{256},
 		VABlock:        []int64{2 << 20},
 		Jobs:           1,
+	}
+}
+
+// A cell's lease wire form round-trips to the same cell and label the
+// sweep enumerates.
+func TestCellSpecLabelRoundTrip(t *testing.T) {
+	s := smallSpec()
+	configs, err := s.Configs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range configs {
+		b, err := json.Marshal(LeaseResponse{Cell: &c, Index: i, Label: c.Label(), Hash: c.Key()})
+		if err != nil {
+			t.Fatalf("cell %d: %v", i, err)
+		}
+		var lr LeaseResponse
+		if err := json.Unmarshal(b, &lr); err != nil {
+			t.Fatalf("cell %d: %v", i, err)
+		}
+		if lr.Cell == nil || *lr.Cell != c {
+			t.Fatalf("cell %d: wire round trip %+v, want %+v", i, lr.Cell, c)
+		}
+		if label, want := lr.Cell.Label(), c.Label(); label != want || lr.Label != want {
+			t.Errorf("cell %d label skew:\n  wire   %q\n  direct %q", i, label, want)
+		}
 	}
 }
 
@@ -79,28 +106,6 @@ func TestBackoff(t *testing.T) {
 	} {
 		if got := Backoff(tc.n, base, cap); got != tc.want {
 			t.Errorf("Backoff(%d) = %s, want %s", tc.n, got, tc.want)
-		}
-	}
-}
-
-// The wire form must reproduce the coordinator's label exactly — the
-// label is the journal identity, so any skew would corrupt recovery.
-func TestCellSpecLabelRoundTrip(t *testing.T) {
-	s := smallSpec()
-	co, err := NewCoordinator(s, CoordinatorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer co.Close()
-	configs, _ := s.Configs()
-	for i, c := range configs {
-		cs := cellSpecOf(s, c)
-		label, err := cs.Label()
-		if err != nil {
-			t.Fatalf("cell %d: %v", i, err)
-		}
-		if want := c.Label(s); label != want {
-			t.Errorf("cell %d label skew:\n  wire   %q\n  direct %q", i, label, want)
 		}
 	}
 }

@@ -11,9 +11,11 @@ import (
 	"sync"
 	"time"
 
+	"uvmsim/internal/cell"
 	"uvmsim/internal/govern"
 	"uvmsim/internal/serve"
 	"uvmsim/internal/serve/client"
+	"uvmsim/internal/sweep"
 	"uvmsim/internal/telemetry"
 )
 
@@ -21,15 +23,14 @@ import (
 // result row (completed cells only), and the failure message (all other
 // states). Injected so tests can model poison cells, stalls, and deaths
 // without running the engine.
-type Runner func(ctx context.Context, cs CellSpec) (state govern.State, row []string, errMsg string)
+type Runner func(ctx context.Context, cs cell.Spec) (state govern.State, row []string, errMsg string)
 
 // LocalRunner executes the cell through the in-process engine as a
 // singleton sweep — the exact validation, governance, and row-rendering
 // path a single-process `-jobs 1` run takes, which is what keeps
 // distributed rows byte-identical to serial ones.
-func LocalRunner(ctx context.Context, cs CellSpec) (govern.State, []string, string) {
-	s := cs.Spec()
-	res, runErr := s.RunContext(ctx)
+func LocalRunner(ctx context.Context, cs cell.Spec) (govern.State, []string, string) {
+	res, runErr := sweep.Single(cs).RunContext(ctx)
 	if runErr != nil {
 		st := govern.StatusOf(runErr)
 		return st.State, nil, st.Err
@@ -60,7 +61,7 @@ func LocalRunner(ctx context.Context, cs CellSpec) (govern.State, []string, stri
 // from cache" line under the cell's trace (the trace rides the request
 // to uvmserved, whose own access and cache-fill lines carry it too).
 func ServeRunner(sc *client.Client, fallback Runner, lg *slog.Logger) Runner {
-	return func(ctx context.Context, cs CellSpec) (govern.State, []string, string) {
+	return func(ctx context.Context, cs cell.Spec) (govern.State, []string, string) {
 		if row, hash, ok := serveLookup(ctx, sc, cs); ok {
 			if lg != nil {
 				lg.LogAttrs(ctx, slog.LevelInfo, "cell served from cache",
@@ -75,8 +76,8 @@ func ServeRunner(sc *client.Client, fallback Runner, lg *slog.Logger) Runner {
 // serveLookup maps the cell onto a /v1/sim request when the mapping is
 // exact, and returns the cached row (plus the server's content hash)
 // on a completed answer.
-func serveLookup(ctx context.Context, sc *client.Client, cs CellSpec) ([]string, string, bool) {
-	req, ok := cs.SimRequest()
+func serveLookup(ctx context.Context, sc *client.Client, cs cell.Spec) ([]string, string, bool) {
+	req, ok := serve.SimRequestOf(cs)
 	if !ok {
 		return nil, "", false // the wire form cannot express this cell exactly
 	}
@@ -251,9 +252,9 @@ func (w *Worker) runLease(ctx context.Context, lr LeaseResponse) {
 		slog.String("label", lr.Label))
 	// Verify the wire spec reproduces the coordinator's label: a skew
 	// here would journal results under the wrong identity.
-	if label, err := lr.Cell.Label(); err != nil || label != lr.Label {
+	if label := lr.Cell.Label(); label != lr.Label {
 		w.report(ctx, lr, govern.StateFailed, nil,
-			fmt.Sprintf("label skew: coordinator %q vs worker %q (err %v)", lr.Label, label, err))
+			fmt.Sprintf("label skew: coordinator %q vs worker %q", lr.Label, label))
 		return
 	}
 	if w.cfg.SlowStart > 0 && !sleepCtx(ctx, w.cfg.SlowStart) {

@@ -13,7 +13,9 @@ import (
 	"fmt"
 	"time"
 
+	"uvmsim/internal/cell"
 	"uvmsim/internal/confighash"
+	"uvmsim/internal/driver"
 	"uvmsim/internal/multigpu"
 	"uvmsim/internal/sim"
 	"uvmsim/internal/stats"
@@ -62,8 +64,8 @@ func (b BudgetRequest) budget(def, cap sim.Budget) sim.Budget {
 }
 
 // SimRequest asks for one single-cell simulation. Zero-valued knobs
-// take the same defaults the uvmsweep CLI uses; Seed 0 is a real seed,
-// not a default.
+// take the cell defaults (cell.Default), as uvmsweep's flags do; Seed 0
+// is a real seed, not a default.
 type SimRequest struct {
 	Workload   string  `json:"workload"`
 	GPUMemMiB  int64   `json:"gpu_mem_mib,omitempty"`
@@ -86,35 +88,87 @@ type SimRequest struct {
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
 }
 
-// sweepRequest lifts the single cell into a singleton sweep so both
-// endpoints share one validation, execution, and caching path.
-func (r SimRequest) sweepRequest() SweepRequest {
-	sr := SweepRequest{
-		Workload:   r.Workload,
-		GPUMemMiB:  r.GPUMemMiB,
-		Seed:       r.Seed,
-		Footprints: []float64{r.Footprint},
-		Prefetch:   []string{r.Prefetch},
-		Replay:     []string{r.Replay},
-		Evict:      []string{r.Evict},
-		Batch:      []int{r.Batch},
-		VABlockKiB: []int64{r.VABlockKiB},
-		Budget:     r.Budget,
-		TimeoutMs:  r.TimeoutMs,
+// resolve maps the request onto its cell: zero-valued knobs take the
+// cell defaults, sizes convert from MiB/KiB, the budget resolves against
+// the server's default and cap, and K=1 drops the migration policy. It
+// is the one place a single-cell request becomes a cell.
+func (r SimRequest) resolve(def, cap sim.Budget) (cell.Spec, error) {
+	d := cell.Default()
+	c := cell.Spec{
+		Workload:       or(r.Workload, d.Workload),
+		GPUMemoryBytes: or(r.GPUMemMiB, d.GPUMemoryBytes>>20) << 20,
+		Seed:           r.Seed,
+		Footprint:      or(r.Footprint, d.Footprint),
+		Prefetch:       or(r.Prefetch, d.Prefetch),
+		Evict:          or(r.Evict, d.Evict),
+		Batch:          or(r.Batch, d.Batch),
+		VABlock:        or(r.VABlockKiB, d.VABlock>>10) << 10,
+		GPUs:           d.GPUs,
+		Budget:         r.Budget.budget(def, cap),
 	}
 	if r.Gpus != nil {
-		// Forwarded even when illegal (<1): sweep validation turns it
-		// into the 400 the cell-spec contract promises.
-		sr.Gpus = []int{*r.Gpus}
+		// Taken even when illegal (<1): validation turns it into the 400
+		// the cell-spec contract promises.
+		c.GPUs = *r.Gpus
 	}
-	if r.Migration != "" {
-		sr.Migration = []string{r.Migration}
+	var err error
+	if c.Replay, err = driver.ParseReplayPolicy(or(r.Replay, d.Replay.String())); err != nil {
+		return c, err
 	}
-	return sr
+	if c.Migration, err = multigpu.ParsePolicy(r.Migration); err != nil {
+		return c, err
+	}
+	if c.GPUs <= 1 {
+		c.Migration = d.Migration
+	}
+	return c, c.Validate()
+}
+
+// SimRequestOf expresses c in the single-cell request's units. ok is
+// false when the request cannot carry the cell exactly (fractional MiB,
+// KiB or ms, or a zero knob the server would re-default): such a cell
+// must be simulated locally, never approximated through the tier.
+func SimRequestOf(c cell.Spec) (req SimRequest, ok bool) {
+	const ms = int64(time.Millisecond)
+	req = SimRequest{
+		Workload:   c.Workload,
+		GPUMemMiB:  c.GPUMemoryBytes >> 20,
+		Seed:       c.Seed,
+		Footprint:  c.Footprint,
+		Prefetch:   c.Prefetch,
+		Replay:     c.Replay.String(),
+		Evict:      c.Evict,
+		Batch:      c.Batch,
+		VABlockKiB: c.VABlock >> 10,
+		Budget: BudgetRequest{
+			SimBudgetMs:    int64(c.Budget.SimDeadline) / ms,
+			MaxEvents:      c.Budget.MaxEvents,
+			LivelockEvents: c.Budget.LivelockWindow,
+		},
+	}
+	if c.GPUs > 1 {
+		g := c.GPUs
+		req.Gpus = &g
+		req.Migration = c.Migration.String()
+	}
+	back, err := req.resolve(sim.Budget{}, sim.Budget{})
+	return req, err == nil && back == c
+}
+
+// simFingerprint is the single-cell cache identity: the sweep
+// fingerprint of the one-cell sweep, under the "sim" shape.
+func simFingerprint(c cell.Spec) string {
+	fp := fmt.Sprintf("serve/v1/sim workload=%s gpumem=%d seed=%d fp=[%v] pf=[%s] rp=[%s] ev=[%s] batch=[%d] vb=[%d] budget=%d/%d/%d",
+		c.Workload, c.GPUMemoryBytes>>20, c.Seed, c.Footprint, c.Prefetch, c.Replay, c.Evict, c.Batch, c.VABlock>>10,
+		int64(c.Budget.SimDeadline), c.Budget.MaxEvents, c.Budget.LivelockWindow)
+	if c.GPUs > 1 {
+		fp += fmt.Sprintf(" gpus=[%d] migration=[%s]", c.GPUs, c.Migration)
+	}
+	return fp
 }
 
 // SweepRequest asks for a full parameter sweep: the cross product of
-// every list, exactly as uvmsweep expands it. Empty lists take the CLI
+// every list, exactly as uvmsweep expands it. Empty lists take the cell
 // defaults.
 type SweepRequest struct {
 	Workload   string    `json:"workload"`
@@ -135,80 +189,19 @@ type SweepRequest struct {
 	TimeoutMs int64         `json:"timeout_ms,omitempty"`
 }
 
-// Request defaults, matching the uvmsweep CLI flag defaults.
-const (
-	DefaultWorkload   = "regular"
-	DefaultGPUMemMiB  = 96
-	DefaultFootprint  = 0.5
-	DefaultPrefetch   = "density"
-	DefaultReplay     = "batchflush"
-	DefaultEvict      = "lru"
-	DefaultBatch      = 256
-	DefaultVABlockKiB = 2048
-)
-
 // withDefaults fills every empty dimension. Mutating a copy keeps the
 // fingerprint canonical: two requests that spell the default
 // differently ("" vs explicit) hash identically.
 func (r SweepRequest) withDefaults() SweepRequest {
-	if r.Workload == "" {
-		r.Workload = DefaultWorkload
-	}
-	if r.GPUMemMiB == 0 {
-		r.GPUMemMiB = DefaultGPUMemMiB
-	}
-	fill := func(s []string, def string) []string {
-		if len(s) == 0 {
-			return []string{def}
-		}
-		out := make([]string, len(s))
-		for i, v := range s {
-			if v == "" {
-				v = def
-			}
-			out[i] = v
-		}
-		return out
-	}
-	if len(r.Footprints) == 0 {
-		r.Footprints = []float64{DefaultFootprint}
-	} else {
-		fp := make([]float64, len(r.Footprints))
-		for i, v := range r.Footprints {
-			if v == 0 {
-				v = DefaultFootprint
-			}
-			fp[i] = v
-		}
-		r.Footprints = fp
-	}
-	r.Prefetch = fill(r.Prefetch, DefaultPrefetch)
-	r.Replay = fill(r.Replay, DefaultReplay)
-	r.Evict = fill(r.Evict, DefaultEvict)
-	if len(r.Batch) == 0 {
-		r.Batch = []int{DefaultBatch}
-	} else {
-		b := make([]int, len(r.Batch))
-		for i, v := range r.Batch {
-			if v == 0 {
-				v = DefaultBatch
-			}
-			b[i] = v
-		}
-		r.Batch = b
-	}
-	if len(r.VABlockKiB) == 0 {
-		r.VABlockKiB = []int64{DefaultVABlockKiB}
-	} else {
-		vb := make([]int64, len(r.VABlockKiB))
-		for i, v := range r.VABlockKiB {
-			if v == 0 {
-				v = DefaultVABlockKiB
-			}
-			vb[i] = v
-		}
-		r.VABlockKiB = vb
-	}
+	d := cell.Default()
+	r.Workload = or(r.Workload, d.Workload)
+	r.GPUMemMiB = or(r.GPUMemMiB, d.GPUMemoryBytes>>20)
+	r.Footprints = fill(r.Footprints, d.Footprint)
+	r.Prefetch = fill(r.Prefetch, d.Prefetch)
+	r.Replay = fill(r.Replay, d.Replay.String())
+	r.Evict = fill(r.Evict, d.Evict)
+	r.Batch = fill(r.Batch, d.Batch)
+	r.VABlockKiB = fill(r.VABlockKiB, d.VABlock>>10)
 	// Canonicalize the multi-GPU axes. A request whose every device count
 	// is 1 is the single-GPU request — migration collapses at K=1, so the
 	// axes are cleared and the fingerprint (and cache identity) matches
@@ -225,6 +218,28 @@ func (r SweepRequest) withDefaults() SweepRequest {
 		r.Migration = nil
 	}
 	return r
+}
+
+// fill returns a copy of list with every zero entry replaced by def, or
+// [def] for an empty list.
+func fill[T comparable](list []T, def T) []T {
+	if len(list) == 0 {
+		return []T{def}
+	}
+	out := make([]T, len(list))
+	for i, v := range list {
+		out[i] = or(v, def)
+	}
+	return out
+}
+
+// or returns v, or def when v is the zero value.
+func or[T comparable](v, def T) T {
+	var zero T
+	if v == zero {
+		return def
+	}
+	return v
 }
 
 // multiGPU reports whether any requested device count exceeds one.

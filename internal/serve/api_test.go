@@ -4,20 +4,22 @@ import (
 	"testing"
 	"time"
 
+	"uvmsim/internal/cell"
 	"uvmsim/internal/sim"
 )
 
 func TestFingerprintCanonicalAcrossDefaultSpellings(t *testing.T) {
 	implicit := SweepRequest{}.withDefaults()
+	d := cell.Default()
 	explicit := SweepRequest{
-		Workload:   DefaultWorkload,
-		GPUMemMiB:  DefaultGPUMemMiB,
-		Footprints: []float64{DefaultFootprint},
-		Prefetch:   []string{DefaultPrefetch},
-		Replay:     []string{DefaultReplay},
-		Evict:      []string{DefaultEvict},
-		Batch:      []int{DefaultBatch},
-		VABlockKiB: []int64{DefaultVABlockKiB},
+		Workload:   d.Workload,
+		GPUMemMiB:  d.GPUMemoryBytes >> 20,
+		Footprints: []float64{d.Footprint},
+		Prefetch:   []string{d.Prefetch},
+		Replay:     []string{d.Replay.String()},
+		Evict:      []string{d.Evict},
+		Batch:      []int{d.Batch},
+		VABlockKiB: []int64{d.VABlock >> 10},
 	}.withDefaults()
 	var none sim.Budget
 	if implicit.fingerprint("sim", none) != explicit.fingerprint("sim", none) {
@@ -78,15 +80,24 @@ func TestBudgetResolution(t *testing.T) {
 	}
 }
 
+// A partially specified single-cell request resolves to exactly the one
+// defaulted cell of the equivalent singleton sweep.
 func TestSimRequestLiftsToSingletonSweep(t *testing.T) {
 	r := SimRequest{Workload: "regular", Footprint: 0.75, Prefetch: "none", Batch: 128}
-	s := r.sweepRequest().withDefaults()
-	spec := s.spec(sim.Budget{}, sim.Budget{})
-	configs, err := spec.Configs()
+	c, err := r.resolve(sim.Budget{}, sim.Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := SweepRequest{Workload: r.Workload, Footprints: []float64{r.Footprint},
+		Prefetch: []string{r.Prefetch}, Batch: []int{r.Batch}}.withDefaults()
+	configs, err := s.spec(sim.Budget{}, sim.Budget{}).Configs()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(configs) != 1 {
 		t.Fatalf("singleton lift produced %d cells", len(configs))
+	}
+	if configs[0] != c || configs[0].Label() != c.Label() {
+		t.Fatalf("singleton sweep cell %+v (%q), resolved request %+v (%q)", configs[0], configs[0].Label(), c, c.Label())
 	}
 }

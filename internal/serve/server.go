@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"uvmsim/internal/cell"
 	"uvmsim/internal/exp"
 	"uvmsim/internal/govern"
 	"uvmsim/internal/obs"
@@ -308,7 +309,7 @@ func (s *Server) runSweep(ctx context.Context, spec *sweep.Spec, onProgress func
 			onProgress(done, total)
 		}
 	}
-	spec.OnMetrics = func(_ sweep.Config, samples []obs.Sample) { s.met.absorb(samples) }
+	spec.OnMetrics = func(_ cell.Spec, samples []obs.Sample) { s.met.absorb(samples) }
 	res, runErr := spec.RunContext(ctx)
 	st := overallState(res, runErr)
 	var v interface{}
@@ -325,10 +326,10 @@ func (s *Server) runSweep(ctx context.Context, spec *sweep.Spec, onProgress func
 	return body, st, err
 }
 
-// prepare validates a request and derives its spec, cell count, and
-// content hash. Validation errors surface before any admission or
+// prepare validates a sweep request and derives its spec, cell count,
+// and content hash. Validation errors surface before any admission or
 // compute cost.
-func (s *Server) prepare(shape string, req SweepRequest) (SweepRequest, *sweep.Spec, int, string, error) {
+func (s *Server) prepare(req SweepRequest) (SweepRequest, *sweep.Spec, int, string, error) {
 	req = req.withDefaults()
 	spec := req.spec(s.cfg.DefaultBudget, s.cfg.BudgetCap)
 	configs, err := spec.Configs() // validates every dimension up front
@@ -338,8 +339,19 @@ func (s *Server) prepare(shape string, req SweepRequest) (SweepRequest, *sweep.S
 	if len(configs) > s.cfg.MaxCells {
 		return req, nil, 0, "", fmt.Errorf("serve: sweep has %d cells, limit %d", len(configs), s.cfg.MaxCells)
 	}
-	hash := hashOf(req.fingerprint(shape, spec.Budget))
+	hash := hashOf(req.fingerprint("sweep", spec.Budget))
 	return req, spec, len(configs), hash, nil
+}
+
+// prepareSim resolves a single-cell request once: the validated cell
+// and its content hash. Callers derive the label from the cell only
+// where a response needs it, so a cache hit never renders one.
+func (s *Server) prepareSim(req SimRequest) (cell.Spec, string, error) {
+	c, err := req.resolve(s.cfg.DefaultBudget, s.cfg.BudgetCap)
+	if err != nil {
+		return c, "", err
+	}
+	return c, hashOf(simFingerprint(c)), nil
 }
 
 func buildSweepResponse(hash string, res *sweep.Result, st govern.State, cells int) *SweepResponse {
@@ -370,19 +382,15 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.inc(mRequests)
-	sreq, spec, _, hash, err := s.prepare("sim", req.sweepRequest())
+	c, hash, err := s.prepareSim(req)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	label := "" // the singleton cell's replay recipe
-	if configs, err := spec.Configs(); err == nil && len(configs) == 1 {
-		label = configs[0].Label(spec)
-	}
 	body, status, src, err := s.cache.Do(r.Context(), hash, func() ([]byte, int, bool, error) {
-		return s.admitAndRun(sreq.TimeoutMs, func(ctx context.Context) ([]byte, govern.State, error) {
-			return s.runSweep(ctx, spec, nil, func(res *sweep.Result, st govern.State) (interface{}, error) {
-				resp := &SimResponse{Hash: hash, Label: label, Status: string(st), Headers: sweep.Headers()}
+		return s.admitAndRun(req.TimeoutMs, func(ctx context.Context) ([]byte, govern.State, error) {
+			return s.runSweep(ctx, sweep.Single(c), nil, func(res *sweep.Result, st govern.State) (interface{}, error) {
+				resp := &SimResponse{Hash: hash, Label: c.Label(), Status: string(st), Headers: sweep.Headers()}
 				if len(res.Table.Rows) == 1 {
 					resp.Row = res.Table.Rows[0]
 				}
@@ -417,16 +425,13 @@ func (s *Server) handleCacheFill(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("cachefill: row has %d columns, want %d", len(req.Row), len(sweep.Headers())))
 		return
 	}
-	_, spec, _, hash, err := s.prepare("sim", req.Sim.sweepRequest())
+	c, hash, err := s.prepareSim(req.Sim)
 	if err != nil {
 		s.met.inc(mFillRejected)
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	label := ""
-	if configs, cerr := spec.Configs(); cerr == nil && len(configs) == 1 {
-		label = configs[0].Label(spec)
-	}
+	label := c.Label()
 	if req.Label != "" && req.Label != label {
 		s.met.inc(mFillRejected)
 		s.writeError(w, http.StatusBadRequest,
@@ -462,7 +467,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.inc(mRequests)
-	sreq, spec, cells, hash, err := s.prepare("sweep", req)
+	sreq, spec, cells, hash, err := s.prepare(req)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -483,7 +488,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.inc(mRequests)
-	sreq, spec, cells, hash, err := s.prepare("sweep", req)
+	sreq, spec, cells, hash, err := s.prepare(req)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -556,9 +561,7 @@ func (s *Server) handleExp(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.inc(mRequests)
-	if req.GPUMemMiB == 0 {
-		req.GPUMemMiB = DefaultGPUMemMiB
-	}
+	req.GPUMemMiB = or(req.GPUMemMiB, cell.Default().GPUMemoryBytes>>20)
 	eff := req.Budget.budget(s.cfg.DefaultBudget, s.cfg.BudgetCap)
 	hash := hashOf(req.fingerprint(id, eff))
 	body, status, src, err := s.cache.Do(r.Context(), hash, func() ([]byte, int, bool, error) {

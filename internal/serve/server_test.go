@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"uvmsim/internal/cell"
 )
 
 // testServer returns a served instance plus its underlying *Server for
@@ -92,10 +94,11 @@ func TestDefaultSpellingsShareOneCacheEntry(t *testing.T) {
 	// Empty body, explicit defaults, and zero-valued knobs are the same
 	// configuration and must hash identically.
 	_, hdrA, _ := postJSON(t, ts.URL+"/v1/sim", SimRequest{})
+	d := cell.Default()
 	_, hdrB, _ := postJSON(t, ts.URL+"/v1/sim", SimRequest{
-		Workload: DefaultWorkload, GPUMemMiB: DefaultGPUMemMiB, Footprint: DefaultFootprint,
-		Prefetch: DefaultPrefetch, Replay: DefaultReplay, Evict: DefaultEvict,
-		Batch: DefaultBatch, VABlockKiB: DefaultVABlockKiB,
+		Workload: d.Workload, GPUMemMiB: d.GPUMemoryBytes >> 20, Footprint: d.Footprint,
+		Prefetch: d.Prefetch, Replay: d.Replay.String(), Evict: d.Evict,
+		Batch: d.Batch, VABlockKiB: d.VABlock >> 10,
 	})
 	if hdrA.Get("X-Uvmsim-Hash") != hdrB.Get("X-Uvmsim-Hash") {
 		t.Fatal("default spellings hash differently — fingerprint is not canonical")

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"uvmsim/internal/cell"
 	"uvmsim/internal/obs"
 )
 
@@ -62,7 +63,7 @@ func TestOnMetricsHook(t *testing.T) {
 	var mu sync.Mutex
 	cum := obs.NewRegistry()
 	cells := 0
-	s.OnMetrics = func(c Config, samples []obs.Sample) {
+	s.OnMetrics = func(c cell.Spec, samples []obs.Sample) {
 		if len(samples) == 0 {
 			t.Error("OnMetrics got empty snapshot")
 		}

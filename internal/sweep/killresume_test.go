@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"uvmsim/internal/cell"
 	"uvmsim/internal/govern"
 	"uvmsim/internal/journal"
 	"uvmsim/internal/obs"
@@ -76,7 +77,7 @@ func TestKillResumeByteIdenticalAcrossJobs(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			var done atomic.Int64
 			old := runConfig
-			runConfig = func(s *Spec, c Config) ([]interface{}, error) {
+			runConfig = func(s *Spec, c cell.Spec) ([]interface{}, error) {
 				rows, err := old(s, c)
 				if done.Add(1) == k {
 					cancel()
@@ -142,7 +143,7 @@ func TestRandomizedCancellationSafety(t *testing.T) {
 			defer cancel()
 			var calls atomic.Int64
 			old := runConfig
-			runConfig = func(s *Spec, c Config) ([]interface{}, error) {
+			runConfig = func(s *Spec, c cell.Spec) ([]interface{}, error) {
 				if calls.Add(1) == int64(k) {
 					cancel()
 				}
@@ -226,7 +227,7 @@ func TestBudgetStopsPathologicalOversubscription(t *testing.T) {
 	// cells: both verdicts are deterministic.
 	var reran atomic.Int64
 	old := runConfig
-	runConfig = func(s *Spec, c Config) ([]interface{}, error) {
+	runConfig = func(s *Spec, c cell.Spec) ([]interface{}, error) {
 		reran.Add(1)
 		return old(s, c)
 	}

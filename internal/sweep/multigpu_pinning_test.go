@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"uvmsim/internal/cell"
 	"uvmsim/internal/confighash"
 	"uvmsim/internal/multigpu"
 	"uvmsim/internal/obs"
@@ -37,12 +38,12 @@ func TestSingleGPULabelAndHashPinned(t *testing.T) {
 		t.Fatalf("expected 1 cell, got %d", len(cfgs))
 	}
 	const wantLabel = "workload=random footprint=0.5 prefetch=density replay=batchflush evict=lru batch=256 vablock=2048KiB seed=1"
-	if got := cfgs[0].Label(spec); got != wantLabel {
+	if got := cfgs[0].Label(); got != wantLabel {
 		t.Errorf("K=1 label drifted:\n got %q\nwant %q", got, wantLabel)
 	}
 	// The hash below was computed before the GPUs/Migration axes existed.
 	const wantHash = "2ac1730334c1245f"
-	if got := confighash.Sum(cfgs[0].Label(spec)); got != wantHash {
+	if got := confighash.Sum(cfgs[0].Label()); got != wantHash {
 		t.Errorf("K=1 confighash drifted: got %s, want %s", got, wantHash)
 	}
 
@@ -57,7 +58,7 @@ func TestSingleGPULabelAndHashPinned(t *testing.T) {
 	if len(cfgs) != 1 {
 		t.Fatalf("K=1 did not collapse the migration axis: %d cells", len(cfgs))
 	}
-	if got := cfgs[0].Label(spec); got != wantLabel {
+	if got := cfgs[0].Label(); got != wantLabel {
 		t.Errorf("explicit GPUs=[1] label drifted: got %q", got)
 	}
 }
@@ -65,10 +66,10 @@ func TestSingleGPULabelAndHashPinned(t *testing.T) {
 // TestMultiGPULabelFormat pins the K>1 label suffix so journals keyed by
 // multi-GPU labels stay matchable across versions.
 func TestMultiGPULabelFormat(t *testing.T) {
-	spec := &Spec{Workload: "regular", GPUMemoryBytes: 32 << 20, Seed: 7}
-	c := Config{Footprint: 0.5, Prefetch: "none", Replay: 0, Evict: "lru",
+	c := cell.Spec{Workload: "regular", GPUMemoryBytes: 32 << 20, Seed: 7,
+		Footprint: 0.5, Prefetch: "none", Replay: 0, Evict: "lru",
 		Batch: 256, VABlock: 2 << 20, GPUs: 4, Migration: multigpu.AccessCounter}
-	got := c.Label(spec)
+	got := c.Label()
 	if !strings.HasSuffix(got, " gpus=4 migration=access-counter") {
 		t.Errorf("K=4 label missing multi-GPU suffix: %q", got)
 	}

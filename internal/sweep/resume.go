@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"uvmsim/internal/cell"
 	"uvmsim/internal/govern"
 	"uvmsim/internal/journal"
 	"uvmsim/internal/parallel"
@@ -95,7 +96,7 @@ func appendRecord(jw *journal.Writer, rec journal.Record) error {
 // safeRunConfig runs one cell, converting a panic into the same
 // *parallel.PanicError the pool would have produced, so panics flow
 // through status classification and the retry loop like any failure.
-func safeRunConfig(s *Spec, c Config, i int) (row []interface{}, err error) {
+func safeRunConfig(s *Spec, c cell.Spec, i int) (row []interface{}, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &parallel.PanicError{Index: i, Value: r, Stack: debug.Stack()}
@@ -162,7 +163,7 @@ func (s *Spec) RunContext(ctx context.Context) (*Result, error) {
 			defer func() { s.Progress(int(settled.Add(1)), len(configs)) }()
 		}
 		c := configs[i]
-		label := c.Label(s)
+		label := c.Label()
 		st := &statuses[i]
 		st.Label = label
 		st.Hash = journal.Hash(label)

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"uvmsim/internal/cell"
 	"uvmsim/internal/govern"
 	"uvmsim/internal/journal"
 	"uvmsim/internal/sim"
@@ -56,7 +57,7 @@ func TestSweepResumeReplaysCompletedCells(t *testing.T) {
 
 	var ran atomic.Int64
 	old := runConfig
-	runConfig = func(s *Spec, c Config) ([]interface{}, error) {
+	runConfig = func(s *Spec, c cell.Spec) ([]interface{}, error) {
 		ran.Add(1)
 		return old(s, c)
 	}
@@ -93,7 +94,7 @@ func TestSweepRetriesTransientFailure(t *testing.T) {
 
 	var calls atomic.Int64
 	old := runConfig
-	runConfig = func(s *Spec, c Config) ([]interface{}, error) {
+	runConfig = func(s *Spec, c cell.Spec) ([]interface{}, error) {
 		if c.Prefetch == "density" && c.Footprint == 0.5 && calls.Add(1) == 1 {
 			return nil, errors.New("transient host hiccup")
 		}
@@ -137,7 +138,7 @@ func TestSweepRetriesTransientFailure(t *testing.T) {
 func TestSweepRetriesExhaustedAborts(t *testing.T) {
 	stubSleep(t)
 	old := runConfig
-	runConfig = func(s *Spec, c Config) ([]interface{}, error) {
+	runConfig = func(s *Spec, c cell.Spec) ([]interface{}, error) {
 		if c.Prefetch == "adaptive" {
 			return nil, errors.New("persistent failure")
 		}
@@ -162,7 +163,7 @@ func TestSweepRetriesExhaustedAborts(t *testing.T) {
 func TestSweepBudgetTripContinuesAndResumes(t *testing.T) {
 	jpath := filepath.Join(t.TempDir(), "sweep.jsonl")
 	old := runConfig
-	trip := func(s *Spec, c Config) ([]interface{}, error) {
+	trip := func(s *Spec, c cell.Spec) ([]interface{}, error) {
 		if c.Prefetch == "none" {
 			return nil, &sim.StopError{Reason: sim.StopLivelock, Executed: 5000}
 		}
@@ -186,7 +187,7 @@ func TestSweepBudgetTripContinuesAndResumes(t *testing.T) {
 
 	// Resume must trust the deterministic verdict and not re-run them.
 	var reran atomic.Int64
-	runConfig = func(s *Spec, c Config) ([]interface{}, error) {
+	runConfig = func(s *Spec, c cell.Spec) ([]interface{}, error) {
 		reran.Add(1)
 		return trip(s, c)
 	}
@@ -212,7 +213,7 @@ func TestSweepCancelReturnsPartialResult(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var calls atomic.Int64
 	old := runConfig
-	runConfig = func(s *Spec, c Config) ([]interface{}, error) {
+	runConfig = func(s *Spec, c cell.Spec) ([]interface{}, error) {
 		if calls.Add(1) == 2 {
 			cancel()
 		}

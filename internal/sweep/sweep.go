@@ -15,15 +15,14 @@ package sweep
 import (
 	"context"
 	"fmt"
-	"strings"
 
+	"uvmsim/internal/cell"
 	"uvmsim/internal/core"
 	"uvmsim/internal/driver"
 	"uvmsim/internal/multigpu"
 	"uvmsim/internal/obs"
 	"uvmsim/internal/sim"
 	"uvmsim/internal/stats"
-	"uvmsim/internal/workloads"
 )
 
 // Spec describes a sweep: the cross product of every list field, run on
@@ -83,154 +82,99 @@ type Spec struct {
 	// metrics-registry snapshot right after its run finishes. It runs on
 	// worker goroutines and must be safe for concurrent use; the serving
 	// layer folds the snapshots into its cumulative /metrics registry.
-	OnMetrics func(c Config, samples []obs.Sample)
+	OnMetrics func(c cell.Spec, samples []obs.Sample)
 
 	// cancel is set by RunContext and polled by every cell's engine.
 	cancel *sim.Cancel
 }
 
-// Config is one fully-resolved sweep cell.
-type Config struct {
-	Footprint float64
-	Prefetch  string
-	Replay    driver.ReplayPolicy
-	Evict     string
-	Batch     int
-	VABlock   int64
-	// GPUs is the device count (0 and 1 both mean single-GPU);
-	// Migration is the multi-GPU placement policy, meaningful only when
-	// GPUs > 1.
-	GPUs      int
-	Migration multigpu.Policy
-}
-
-// Label renders the cell as a replay recipe: every knob plus the seed,
-// enough to rerun exactly this configuration with -jobs 1. Single-GPU
-// cells render exactly the pre-multi-GPU label (zero-value elision), so
-// every historical label and confighash is preserved.
-func (c Config) Label(s *Spec) string {
-	base := fmt.Sprintf("workload=%s footprint=%g prefetch=%s replay=%s evict=%s batch=%d vablock=%dKiB seed=%d",
-		s.Workload, c.Footprint, c.Prefetch, c.Replay, c.Evict, c.Batch, c.VABlock>>10, s.Seed)
-	if c.GPUs > 1 {
-		base += fmt.Sprintf(" gpus=%d migration=%s", c.GPUs, c.Migration)
+// Single returns the one-cell sweep that runs c. Running it takes the
+// exact validation, governance, and row-rendering path every sweep
+// takes, which is what makes a cell run anywhere render the same row.
+func Single(c cell.Spec) *Spec {
+	return &Spec{
+		Workload:       c.Workload,
+		GPUMemoryBytes: c.GPUMemoryBytes,
+		Seed:           c.Seed,
+		Footprints:     []float64{c.Footprint},
+		Prefetch:       []string{c.Prefetch},
+		Replay:         []string{c.Replay.String()},
+		Evict:          []string{c.Evict},
+		Batch:          []int{c.Batch},
+		VABlock:        []int64{c.VABlock},
+		GPUs:           []int{c.GPUs},
+		Migration:      []string{c.Migration.String()},
+		Budget:         c.Budget,
+		Jobs:           1,
 	}
-	return base
 }
 
 // Validate resolves every name and bound in the spec up front. Nothing
 // has run yet when it fails.
 func (s *Spec) Validate() error {
-	if _, err := workloads.Get(s.Workload); err != nil {
-		return err
-	}
-	if s.GPUMemoryBytes <= 0 {
-		return fmt.Errorf("sweep: GPU memory %d must be positive", s.GPUMemoryBytes)
-	}
-	if len(s.Footprints) == 0 || len(s.Prefetch) == 0 || len(s.Replay) == 0 ||
-		len(s.Evict) == 0 || len(s.Batch) == 0 || len(s.VABlock) == 0 {
-		return fmt.Errorf("sweep: empty dimension (footprints=%d prefetch=%d replay=%d evict=%d batch=%d vablock=%d)",
-			len(s.Footprints), len(s.Prefetch), len(s.Replay), len(s.Evict), len(s.Batch), len(s.VABlock))
-	}
-	for _, fp := range s.Footprints {
-		if fp <= 0 {
-			return fmt.Errorf("sweep: footprint %g must be positive", fp)
-		}
-	}
-	for _, rp := range s.Replay {
-		if _, err := driver.ParseReplayPolicy(rp); err != nil {
-			return err
-		}
-	}
-	cfg := core.DefaultConfig(s.GPUMemoryBytes)
-	for _, pf := range s.Prefetch {
-		probe := cfg
-		probe.PrefetchPolicy = pf
-		if err := core.ValidatePolicies(probe); err != nil {
-			return err
-		}
-	}
-	for _, ev := range s.Evict {
-		probe := cfg
-		probe.EvictPolicy = ev
-		if err := core.ValidatePolicies(probe); err != nil {
-			return err
-		}
-	}
-	for _, bs := range s.Batch {
-		if bs <= 0 {
-			return fmt.Errorf("sweep: batch size %d must be positive", bs)
-		}
-	}
-	for _, vb := range s.VABlock {
-		if vb <= 0 {
-			return fmt.Errorf("sweep: VABlock size %d must be positive", vb)
-		}
-	}
-	for _, g := range s.GPUs {
-		if g < 1 {
-			return fmt.Errorf("sweep: GPU count %d must be at least 1", g)
-		}
-		if g > multigpu.MaxDevices {
-			return fmt.Errorf("sweep: GPU count %d exceeds the supported maximum %d", g, multigpu.MaxDevices)
-		}
-	}
-	for _, mi := range s.Migration {
-		if _, err := multigpu.ParsePolicy(mi); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := s.Configs()
+	return err
 }
 
 // Configs expands the cross product in deterministic declaration order:
 // footprint outermost, then prefetch, replay, evict, batch, VABlock,
 // GPUs, migration — the same nesting the serial CLI always printed, with
-// the multi-GPU axes innermost. Empty GPUs/Migration lists default to
-// single-GPU first-touch, and single-GPU cells collapse the migration
-// axis (the policy is meaningless at K=1, and collapsing keeps labels —
-// and therefore confighashes — unique).
-func (s *Spec) Configs() ([]Config, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
+// the multi-GPU axes innermost — and validates every cell. Empty
+// GPUs/Migration lists default to single-GPU first-touch, and
+// single-GPU cells collapse the migration axis (the policy is
+// meaningless at K=1, and collapsing keeps labels — and therefore
+// confighashes — unique).
+func (s *Spec) Configs() ([]cell.Spec, error) {
+	if len(s.Footprints) == 0 || len(s.Prefetch) == 0 || len(s.Replay) == 0 ||
+		len(s.Evict) == 0 || len(s.Batch) == 0 || len(s.VABlock) == 0 {
+		return nil, fmt.Errorf("sweep: empty dimension (footprints=%d prefetch=%d replay=%d evict=%d batch=%d vablock=%d)",
+			len(s.Footprints), len(s.Prefetch), len(s.Replay), len(s.Evict), len(s.Batch), len(s.VABlock))
+	}
+	replay := make([]driver.ReplayPolicy, len(s.Replay))
+	for i, name := range s.Replay {
+		var err error
+		if replay[i], err = driver.ParseReplayPolicy(name); err != nil {
+			return nil, err
+		}
+	}
+	names := s.Migration
+	if len(names) == 0 {
+		names = []string{multigpu.FirstTouch.String()}
+	}
+	migration := make([]multigpu.Policy, len(names))
+	for i, name := range names {
+		var err error
+		if migration[i], err = multigpu.ParsePolicy(name); err != nil {
+			return nil, err
+		}
 	}
 	gpus := s.GPUs
 	if len(gpus) == 0 {
 		gpus = []int{1}
 	}
-	migration := s.Migration
-	if len(migration) == 0 {
-		migration = []string{multigpu.FirstTouch.String()}
-	}
-	out := make([]Config, 0,
-		len(s.Footprints)*len(s.Prefetch)*len(s.Replay)*len(s.Evict)*
+	out := make([]cell.Spec, 0,
+		len(s.Footprints)*len(s.Prefetch)*len(replay)*len(s.Evict)*
 			len(s.Batch)*len(s.VABlock)*len(gpus)*len(migration))
-	for _, fp := range s.Footprints {
-		for _, pf := range s.Prefetch {
-			for _, rp := range s.Replay {
-				pol, err := driver.ParseReplayPolicy(rp)
-				if err != nil {
-					return nil, err
-				}
-				for _, ev := range s.Evict {
-					for _, bs := range s.Batch {
-						for _, vb := range s.VABlock {
-							for _, g := range gpus {
-								for mi, mname := range migration {
-									if g <= 1 && mi > 0 {
-										continue // migration axis collapses at K=1
-									}
-									mpol, err := multigpu.ParsePolicy(mname)
-									if err != nil {
-										return nil, err
-									}
-									if g <= 1 {
+	c := cell.Spec{Workload: s.Workload, GPUMemoryBytes: s.GPUMemoryBytes, Seed: s.Seed, Budget: s.Budget}
+	for _, c.Footprint = range s.Footprints {
+		for _, c.Prefetch = range s.Prefetch {
+			for _, c.Replay = range replay {
+				for _, c.Evict = range s.Evict {
+					for _, c.Batch = range s.Batch {
+						for _, c.VABlock = range s.VABlock {
+							for _, c.GPUs = range gpus {
+								for mi, mpol := range migration {
+									if c.GPUs <= 1 {
+										if mi > 0 {
+											continue // migration axis collapses at K=1
+										}
 										mpol = multigpu.FirstTouch
 									}
-									out = append(out, Config{
-										Footprint: fp, Prefetch: pf, Replay: pol,
-										Evict: ev, Batch: bs, VABlock: vb,
-										GPUs: g, Migration: mpol,
-									})
+									c.Migration = mpol
+									if err := c.Validate(); err != nil {
+										return nil, err
+									}
+									out = append(out, c)
 								}
 							}
 						}
@@ -252,35 +196,15 @@ func Headers() []string {
 
 // runConfig executes one cell. It is a variable so tests can substitute
 // a crashing cell and assert the pool's panic containment.
-var runConfig = func(s *Spec, c Config) ([]interface{}, error) {
-	cfg := core.DefaultConfig(s.GPUMemoryBytes)
-	cfg.Seed = s.Seed
-	cfg.PrefetchPolicy = c.Prefetch
-	cfg.EvictPolicy = c.Evict
-	if strings.Contains(c.Evict, "access-aware") {
-		cfg.GPU.AccessCounters = true
-	}
-	cfg.Driver.Policy = c.Replay
-	cfg.Driver.BatchSize = c.Batch
-	cfg.VABlockSize = c.VABlock
-	if c.GPUs > 1 {
-		cfg.GPUs = c.GPUs
-		cfg.Migration = c.Migration
-	}
-	cfg.Obs = obs.Options{Collector: s.Obs, Label: c.Label(s), Lifecycle: s.Lifecycle}
+var runConfig = func(s *Spec, c cell.Spec) ([]interface{}, error) {
+	cfg := c.Config()
+	cfg.Obs = obs.Options{Collector: s.Obs, Label: c.Label(), Lifecycle: s.Lifecycle}
 	cfg.Cancel = s.cancel
-	cfg.Budget = s.Budget
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
 		return nil, err
 	}
-	builder, err := workloads.Get(s.Workload)
-	if err != nil {
-		return nil, err
-	}
-	p := workloads.DefaultParams()
-	p.Seed = s.Seed + 100
-	k, err := builder(sys, int64(c.Footprint*float64(s.GPUMemoryBytes)), p)
+	k, err := c.Kernel(sys)
 	if err != nil {
 		return nil, err
 	}

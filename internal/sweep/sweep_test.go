@@ -7,8 +7,12 @@ import (
 	"testing"
 	"time"
 
+	"uvmsim/internal/cell"
+	"uvmsim/internal/core"
 	"uvmsim/internal/obs"
 	"uvmsim/internal/parallel"
+	"uvmsim/internal/stats"
+	"uvmsim/internal/workloads"
 )
 
 // smallSpec is a 2 footprints × 3 prefetch policies sweep (6 cells) at a
@@ -82,7 +86,7 @@ func TestSweepFailsFastOnBadNames(t *testing.T) {
 	for _, tc := range cases {
 		ran := false
 		old := runConfig
-		runConfig = func(s *Spec, c Config) ([]interface{}, error) {
+		runConfig = func(s *Spec, c cell.Spec) ([]interface{}, error) {
 			ran = true
 			return old(s, c)
 		}
@@ -104,7 +108,7 @@ func TestSweepFailsFastOnBadNames(t *testing.T) {
 func TestSweepWorkerPanicFailsWithReplayRecipe(t *testing.T) {
 	old := runConfig
 	defer func() { runConfig = old }()
-	runConfig = func(s *Spec, c Config) ([]interface{}, error) {
+	runConfig = func(s *Spec, c cell.Spec) ([]interface{}, error) {
 		if c.Footprint == 1.25 && c.Prefetch == "density" {
 			panic("simulated invariant violation")
 		}
@@ -197,6 +201,57 @@ func TestSweepObsDeterministicAcrossJobs(t *testing.T) {
 		}
 		if !bytes.Equal(metrics1, metricsN) {
 			t.Errorf("jobs=%d metrics CSV differs from serial", jobs)
+		}
+	}
+}
+
+// A cell assembled by hand the way the single-run CLIs do (default
+// config plus a policy name, no access-counter switch) must simulate the
+// same access-aware eviction the sweep does: choosing the policy is what
+// turns the GPU's access counters on, wherever the config was built.
+func TestHandBuiltAccessAwareCellMatchesSweep(t *testing.T) {
+	for _, tc := range []struct {
+		evict  string
+		pinned []string // total_ms and faults
+	}{
+		{"access-aware", []string{"100.56", "30144"}},
+		{"access-aware+thrash", nil},
+	} {
+		s := &Spec{
+			Workload: "hotcold", GPUMemoryBytes: 96 << 20, Seed: 1,
+			Footprints: []float64{1.3}, Prefetch: []string{"density"}, Replay: []string{"batchflush"},
+			Evict: []string{tc.evict}, Batch: []int{256}, VABlock: []int64{2 << 20}, Jobs: 1,
+		}
+		tb, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		swept := tb.Rows[0][6:8]
+		if tc.pinned != nil && (swept[0] != tc.pinned[0] || swept[1] != tc.pinned[1]) {
+			t.Errorf("%s sweep row total_ms/faults = %v, want %v", tc.evict, swept, tc.pinned)
+		}
+
+		cfg := core.DefaultConfig(96 << 20)
+		cfg.Seed = 1
+		cfg.EvictPolicy = tc.evict
+		sys, err := core.NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := workloads.DefaultParams()
+		p.Seed = 101
+		footprint, mem := 1.3, float64(cfg.GPUMemoryBytes)
+		k, err := workloads.HotCold(sys, int64(footprint*mem), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sys.RunUVM(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byHand := stats.RenderCells(float64(res.TotalTime.Micros())/1000, res.Faults)
+		if byHand[0] != swept[0] || byHand[1] != swept[1] {
+			t.Errorf("%s built by hand: total_ms/faults = %v, sweep renders %v", tc.evict, byHand, swept)
 		}
 	}
 }
