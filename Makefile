@@ -62,15 +62,17 @@ bench_baseline:
 	sh scripts/bench_check.sh --update-baseline
 
 # Alloc-guard: the nil-sink tracer/lifecycle fast path, the driver's
-# batch preprocess, the prefetch planner, the bitmap word-scan
-# primitives, and LRU churn must all stay allocation-free in steady
-# state, and the instrumented end-to-end benchmark must run.
+# batch preprocess and per-block service chain (every replay policy,
+# prefetch on and off, K=1 and K=2), the prefetch planner, the bitmap
+# word-scan primitives, the residency check, and eviction-policy churn
+# must all stay allocation-free in steady state, and the instrumented
+# end-to-end benchmark must run.
 allocguard:
 	$(GO) test ./internal/obs -run TestNilTracerAllocFree -count=1
-	$(GO) test ./internal/driver -run 'TestPreprocessSteadyStateAllocFree|TestFetchSteadyStateAllocFree' -count=1
+	$(GO) test ./internal/driver -run 'TestPreprocessSteadyStateAllocFree|TestFetchSteadyStateAllocFree|TestServiceChainSteadyStateAllocFree' -count=1
 	$(GO) test ./internal/tree -run TestPlanSteadyStateAllocFree -count=1
-	$(GO) test ./internal/mem -run TestBitmapWordPrimitivesAllocFree -count=1
-	$(GO) test ./internal/evict -run TestLRUChurnAllocFree -count=1
+	$(GO) test ./internal/mem -run 'TestBitmapWordPrimitivesAllocFree|TestIsResidentAllocFree' -count=1
+	$(GO) test ./internal/evict -run 'TestLRUChurnAllocFree|TestPolicyChurnAllocFree' -count=1
 	$(GO) test ./internal/multigpu -run 'TestClassifySteadyStateAllocFree|TestRemoteAccessSteadyStateAllocFree|TestFabricStreamSteadyStateAllocFree' -count=1
 	$(GO) test ./internal/core -bench BenchmarkDriverService -benchtime 2x -benchmem -run=^$$
 

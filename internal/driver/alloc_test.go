@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"math"
 	"testing"
 
 	"uvmsim/internal/faultbuf"
@@ -132,5 +133,49 @@ func TestRotateLeft(t *testing.T) {
 				break
 			}
 		}
+	}
+}
+
+// TestBinBatchAcrossGenerationReuse pins the generation-stamped bin
+// index: batches over different block sets, run across the stamp's
+// wrap-around, each get exactly their own bins. A slot stamped by a
+// batch 2^32 batches ago must not read as one of the current batch's.
+func TestBinBatchAcrossGenerationReuse(t *testing.T) {
+	h := newHarness(t, 64<<20, 16<<20)
+	geom := h.space.Geometry()
+	d := h.drv
+	page := func(id mem.VABlockID, p int) faultbuf.Entry {
+		return faultbuf.Entry{Page: geom.FirstPage(id) + mem.PageID(p)}
+	}
+	// Stamp block 7's slot with generation 1, then jump to just before
+	// the wrap: after it, generation 1 comes round again.
+	d.binBatch([]faultbuf.Entry{page(6, 0), page(7, 0)})
+	d.binGen = math.MaxUint32 - 2
+	for round := 0; round < 8; round++ {
+		// Consecutive batches overlap on some blocks and not others;
+		// block 7 returns only after the wrap.
+		ids := []mem.VABlockID{mem.VABlockID(round % 3), mem.VABlockID(round%3 + 3)}
+		if round >= 2 { // round 2 runs at generation 1 again
+			ids = append(ids, 7)
+		}
+		var entries []faultbuf.Entry
+		for _, id := range ids {
+			for p := 0; p < 3; p++ {
+				entries = append(entries, page(id, p*5+round))
+			}
+		}
+		ordered := d.binBatch(entries)
+		if len(ordered) != len(ids) {
+			t.Fatalf("round %d (gen %d): %d bins, want %d", round, d.binGen, len(ordered), len(ids))
+		}
+		for _, b := range ordered {
+			if b.demanded.Count() != 3 {
+				t.Errorf("round %d (gen %d): block %d demands %d pages, want 3",
+					round, d.binGen, b.block, b.demanded.Count())
+			}
+		}
+	}
+	if d.binGen == 0 || d.binGen > 8 {
+		t.Errorf("binGen = %d after wrapping, want a small nonzero stamp", d.binGen)
 	}
 }

@@ -79,10 +79,39 @@ type Driver struct {
 	// after the previous batch has fully retired. Reuse never crosses a
 	// batch boundary mid-flight and never leaks state: every field is
 	// reset before use.
-	acc      []faultbuf.Entry      // fetch accumulation, cap BatchSize
-	bins     []*bin                // current batch's bins, sorted by block
-	binIndex map[mem.VABlockID]int // block -> index into bins; cleared per batch
-	binFree  []*bin                // recycled bins with retained bitmaps/maps
+	acc     []faultbuf.Entry // fetch accumulation, cap BatchSize
+	bins    []*bin           // current batch's bins, sorted by block
+	binFree []*bin           // recycled bins with retained bitmaps/maps
+	// binIndex is block-indexed: a slot stamped with the current binGen
+	// names the block's bin in this batch; any other stamp is a previous
+	// batch's and reads as "no bin yet". Bumping binGen empties the index
+	// without touching it.
+	binIndex []binSlot
+	binGen   uint32
+
+	// Continuation state of the per-block service chain. The chain is
+	// strictly serial, so exactly one step is pending at any time: the
+	// bin it services and that bin's fetch plan live here, and every step
+	// schedules a method value bound once in New instead of a closure.
+	cur   int              // index into bins of the bin in service
+	plan  tree.Result      // cur's fetch plan, from migrate to afterMap
+	stale bool             // serviceRemote found cur already remote-mapped
+	pfCtx prefetch.Context // migrate's planning context
+	next  continuations
+}
+
+// binSlot is one binIndex entry.
+type binSlot struct {
+	gen uint32 // binGen of the batch that wrote the slot
+	bin int32  // index into bins
+}
+
+// continuations are the driver's pipeline steps as func values bound
+// once, so scheduling one allocates nothing.
+type continuations struct {
+	fetch, poll, preprocess, service, nextBin func()
+	ensureAlloc, migrate, mapBlock, afterMap  func()
+	afterRemote, replayThenFetch, goIdle      func()
 }
 
 // Deps bundles the driver's collaborators.
@@ -131,7 +160,20 @@ func New(cfg Config, d Deps) (*Driver, error) {
 		res:      d.Residency,
 		idle:     true,
 		acc:      make([]faultbuf.Entry, 0, cfg.BatchSize),
-		binIndex: make(map[mem.VABlockID]int),
+	}
+	drv.next = continuations{
+		fetch:           drv.fetchBatch,
+		poll:            drv.poll,
+		preprocess:      drv.preprocess,
+		service:         drv.serviceBlock,
+		nextBin:         drv.nextBin,
+		ensureAlloc:     drv.ensureAlloc,
+		migrate:         drv.migrate,
+		mapBlock:        drv.mapBlock,
+		afterMap:        drv.afterMap,
+		afterRemote:     drv.afterRemote,
+		replayThenFetch: drv.replayThenFetch,
+		goIdle:          drv.goIdle,
 	}
 	if drv.res != nil {
 		// Registered lazily so single-GPU metric snapshots are unchanged.
@@ -157,7 +199,7 @@ func (d *Driver) OnFault() {
 	}
 	d.idle = false
 	d.m.passes.Inc(1)
-	d.eng.After(d.cfg.InterruptLatency, d.fetchBatch)
+	d.eng.After(d.cfg.InterruptLatency, d.next.fetch)
 }
 
 // chargeSpan books simulated time into the span kind's breakdown phase
@@ -237,9 +279,9 @@ func (d *Driver) fetchBatch() {
 
 // fetchMore accumulates ready entries into the current batch, applying
 // the configured fetch mode when a not-ready entry blocks the head. acc
-// is the driver's batch-scoped scratch slice (or a poll continuation of
-// it); entries are appended in place, so a steady-state fetch performs
-// no allocations.
+// is the driver's batch-scoped scratch slice (d.acc, or a poll
+// continuation of it); entries are appended in place, so a steady-state
+// fetch performs no allocations.
 func (d *Driver) fetchMore(acc []faultbuf.Entry) {
 	now := d.eng.Now()
 	prev := len(acc)
@@ -256,8 +298,7 @@ func (d *Driver) fetchMore(acc []faultbuf.Entry) {
 		// poll the not-ready head.
 		d.m.polls.Inc(1)
 		d.chargeSpan(obs.SpanPoll, d.cfg.PollInterval, 0)
-		acc := acc
-		d.eng.After(d.cfg.PollInterval, func() { d.fetchMore(acc) })
+		d.eng.After(d.cfg.PollInterval, d.next.poll)
 		return
 	}
 	if len(acc) == 0 {
@@ -270,8 +311,11 @@ func (d *Driver) fetchMore(acc []faultbuf.Entry) {
 	cost := d.cfg.FetchFixed +
 		sim.Duration(len(acc))*(d.cfg.FetchPerFault+d.cfg.BookkeepPerFault)
 	d.chargeSpan(obs.SpanFetch, cost, int64(len(acc)))
-	d.eng.After(cost, func() { d.preprocess(acc) })
+	d.eng.After(cost, d.next.preprocess)
 }
+
+// poll retries the fetch once the poll interval has passed.
+func (d *Driver) poll() { d.fetchMore(d.acc) }
 
 // bin is the per-VABlock grouping of one batch's faults. Bins live in
 // the driver's batch-scoped pool: their bitmaps (and origin map, when
@@ -320,17 +364,23 @@ func (d *Driver) binBatch(entries []faultbuf.Entry) []*bin {
 	geom := d.space.Geometry()
 	d.binFree = append(d.binFree, d.bins...)
 	d.bins = d.bins[:0]
-	clear(d.binIndex)
+	d.binGen++
+	if d.binGen == 0 {
+		// The stamp wrapped: clear the index so no slot written 2^32
+		// batches ago aliases the new generation.
+		clear(d.binIndex)
+		d.binGen = 1
+	}
 	var dups uint64
 	for _, e := range entries {
 		id := geom.BlockOf(e.Page)
-		i, ok := d.binIndex[id]
-		if !ok {
-			i = len(d.bins)
+		d.binIndex = mem.GrowTable(d.binIndex, id, binSlot{})
+		slot := &d.binIndex[id]
+		if slot.gen != d.binGen {
+			slot.gen, slot.bin = d.binGen, int32(len(d.bins))
 			d.bins = append(d.bins, d.getBin(id, geom))
-			d.binIndex[id] = i
 		}
-		b := d.bins[i]
+		b := d.bins[slot.bin]
 		idx := geom.PageIndex(e.Page)
 		if !b.demanded.Set(idx) {
 			dups++
@@ -397,49 +447,60 @@ func rotateLeft[T any](s []T, rot int) {
 	slices.Reverse(s)
 }
 
-// preprocess sorts and bins the batch by VABlock, deduplicating repeated
-// pages (the "basic bookkeeping and logical checks").
-func (d *Driver) preprocess(entries []faultbuf.Entry) {
-	ordered := d.binBatch(entries)
+// preprocess sorts and bins the fetched batch (d.acc) by VABlock,
+// deduplicating repeated pages (the "basic bookkeeping and logical
+// checks"), and starts servicing the first bin.
+func (d *Driver) preprocess() {
+	entries := d.acc
+	d.binBatch(entries)
+	d.cur = 0
 	cost := sim.Duration(len(entries)) * d.cfg.SortPerFault
 	d.chargeSpan(obs.SpanSort, cost, int64(len(entries)))
-	d.eng.After(cost, func() { d.serviceBlock(ordered, 0) })
+	d.eng.After(cost, d.next.service)
 }
 
-// serviceBlock services the i-th bin, then continues with the rest of the
-// batch.
-func (d *Driver) serviceBlock(bins []*bin, i int) {
-	if i >= len(bins) {
+// serviceBlock services the current bin (d.bins[d.cur]); the chain then
+// continues with the rest of the batch through nextBin.
+func (d *Driver) serviceBlock() {
+	if d.cur >= len(d.bins) {
 		d.batchEnd()
 		return
 	}
-	b := bins[i]
+	b := d.bins[d.cur]
 	block := d.space.Block(b.block)
 	if d.res != nil && !block.Allocated {
 		// Multi-GPU: a block a peer owns (or that this device already
 		// remote-mapped) services as a remote mapping, not a migration.
 		if block.Remote || d.res.Classify(b.block) == OwnPeer {
-			d.serviceRemote(bins, i)
+			d.serviceRemote()
 			return
 		}
 	}
 	if !block.Allocated {
-		d.ensureAlloc(bins, i)
+		d.ensureAlloc()
 		return
 	}
 	d.policy.Touch(block)
 	block.Touches++
-	d.migrate(bins, i)
+	d.migrate()
 }
 
-// ensureAlloc reserves physical backing for the bin's block, evicting
-// under memory pressure and restarting (the paper's lock-drop restart).
-func (d *Driver) ensureAlloc(bins []*bin, i int) {
-	block := d.space.Block(bins[i].block)
-	if d.res != nil && (block.Remote || d.res.Classify(bins[i].block) == OwnPeer) {
+// nextBin advances the chain to the batch's next bin.
+func (d *Driver) nextBin() {
+	d.cur++
+	d.serviceBlock()
+}
+
+// ensureAlloc reserves physical backing for the current bin's block,
+// evicting under memory pressure and restarting (the paper's lock-drop
+// restart).
+func (d *Driver) ensureAlloc() {
+	id := d.bins[d.cur].block
+	block := d.space.Block(id)
+	if d.res != nil && (block.Remote || d.res.Classify(id) == OwnPeer) {
 		// A peer claimed the block while this device waited out an
 		// eviction retry; service it as a remote mapping instead.
-		d.serviceRemote(bins, i)
+		d.serviceRemote()
 		return
 	}
 	cost, err := d.alloc.Alloc()
@@ -451,7 +512,7 @@ func (d *Driver) ensureAlloc(bins []*bin, i int) {
 			d.res.Claimed(block)
 		}
 		d.chargeSpan(obs.SpanPMAAlloc, cost, 1)
-		d.eng.After(cost, func() { d.migrate(bins, i) })
+		d.eng.After(cost, d.next.migrate)
 		return
 	}
 	// Out of memory: evict the policy's victim and restart this block's
@@ -462,7 +523,7 @@ func (d *Driver) ensureAlloc(bins []*bin, i int) {
 	}
 	evictCost, evictedPages := d.evictBlock(victim)
 	d.chargeSpan(obs.SpanEvict, cost+evictCost, int64(evictedPages))
-	d.eng.After(cost+evictCost, func() { d.ensureAlloc(bins, i) })
+	d.eng.After(cost+evictCost, d.next.ensureAlloc)
 }
 
 // evictBlock writes back the victim's dirty pages, unmaps it, and
@@ -511,26 +572,25 @@ func (d *Driver) evictBlock(victim *mem.VABlock) (sim.Duration, int) {
 // migrate plans the fetch set (demand + prefetch), zeroes and stages
 // pages, and issues the DMA; mapping follows when both the CPU work and
 // the transfers complete.
-func (d *Driver) migrate(bins []*bin, i int) {
-	b := bins[i]
-	block := d.space.Block(b.block)
-	geom := d.space.Geometry()
-	ctx := &prefetch.Context{
-		Geom:           geom,
-		Block:          block,
+func (d *Driver) migrate() {
+	b := d.bins[d.cur]
+	d.pfCtx = prefetch.Context{
+		Geom:           d.space.Geometry(),
+		Block:          d.space.Block(b.block),
 		Valid:          d.space.ValidPagesIn(b.block),
 		Faulted:        b.demanded,
 		FaultSMs:       b.sms,
 		Oversubscribed: d.alloc.Exhausted(),
 	}
-	res := d.pf.Plan(ctx)
+	d.plan = d.pf.Plan(&d.pfCtx)
+	res := d.plan
 	if res.Fetch.Count() == 0 {
 		// Every demanded page is already resident (serviced by an earlier
 		// batch); only fixed bookkeeping remains.
 		d.m.staleBins.Inc(1)
 		cost := d.cfg.ServiceFixedPerBlock
 		d.chargeSpan(obs.SpanMigrate, cost, 0)
-		d.eng.After(cost, func() { d.afterMap(bins, i, res) })
+		d.eng.After(cost, d.next.afterMap)
 		return
 	}
 
@@ -555,7 +615,7 @@ func (d *Driver) migrate(bins []*bin, i int) {
 	d.m.migratedPages.Inc(uint64(res.Fetch.Count()))
 	d.m.demandPages.Inc(uint64(res.Faulted))
 	d.m.prefetchedPages.Inc(uint64(res.Prefetched))
-	d.eng.At(mapStart, func() { d.mapBlock(bins, i, res) })
+	d.eng.At(mapStart, d.next.mapBlock)
 }
 
 // mapOps counts PTE writes for a fetch set. A 64 KB-aligned chunk fully
@@ -596,8 +656,8 @@ func mapOps(fetch, demanded *mem.Bitmap) int {
 // mapBlock updates page tables and residency, records trace events, and
 // hands control back to the batch loop (replaying first under the Block
 // policy).
-func (d *Driver) mapBlock(bins []*bin, i int, res tree.Result) {
-	b := bins[i]
+func (d *Driver) mapBlock() {
+	b, res := d.bins[d.cur], d.plan
 	block := d.space.Block(b.block)
 	geom := d.space.Geometry()
 	now := d.eng.Now()
@@ -627,20 +687,26 @@ func (d *Driver) mapBlock(bins []*bin, i int, res tree.Result) {
 		}
 	}
 	d.servicedSinceReplay++
-	d.eng.After(cost, func() { d.afterMap(bins, i, res) })
+	d.eng.After(cost, d.next.afterMap)
 }
 
 // afterMap applies the per-block replay policy and advances to the next
 // bin.
-func (d *Driver) afterMap(bins []*bin, i int, res tree.Result) {
+func (d *Driver) afterMap() {
+	d.finishBin(d.plan.Fetch.Count() == 0)
+}
+
+// finishBin ends the current bin's service (afterMap, afterRemote):
+// lifecycle terminal states, then the per-block replay policy and the
+// next bin.
+func (d *Driver) finishBin(stale bool) {
 	if d.life.Enabled() {
 		// A stale bin's faults are duplicates: their warps were woken by
 		// an earlier replay and found the pages resident, so service
 		// completion is their terminal state. Live bins' faults wait for
 		// the replay that wakes their still-stalled warps.
 		now := d.eng.Now()
-		stale := res.Fetch.Count() == 0
-		for _, seq := range bins[i].seqs {
+		for _, seq := range d.bins[d.cur].seqs {
 			if stale {
 				d.life.ServicedStale(seq, now)
 			} else {
@@ -649,10 +715,10 @@ func (d *Driver) afterMap(bins []*bin, i int, res tree.Result) {
 		}
 	}
 	if d.cfg.Policy == ReplayBlock {
-		d.issueReplay(func() { d.serviceBlock(bins, i+1) })
+		d.issueReplay(d.next.nextBin)
 		return
 	}
-	d.serviceBlock(bins, i+1)
+	d.nextBin()
 }
 
 // batchEnd applies the per-batch replay policy, then fetches the next
@@ -666,15 +732,16 @@ func (d *Driver) batchEnd() {
 		d.m.flushes.Inc(1)
 		d.m.flushDiscarded.Inc(uint64(discarded))
 		d.chargeSpan(obs.SpanFlush, flushCost, int64(discarded))
-		d.eng.After(flushCost, func() {
-			d.issueReplay(d.fetchBatch)
-		})
+		d.eng.After(flushCost, d.next.replayThenFetch)
 	case ReplayBatch:
-		d.issueReplay(d.fetchBatch)
+		d.replayThenFetch()
 	default: // ReplayBlock already replayed per block; ReplayOnce waits.
-		d.eng.After(0, d.fetchBatch)
+		d.eng.After(0, d.next.fetch)
 	}
 }
+
+// replayThenFetch replays, then fetches the next batch.
+func (d *Driver) replayThenFetch() { d.issueReplay(d.next.fetch) }
 
 // issueReplay charges the replay cost, commands the GPU, and continues
 // with next.
@@ -701,20 +768,19 @@ func (d *Driver) endPass() {
 	d.closeBatch()
 	d.syncBufCounters()
 	if d.cfg.Policy == ReplayOnce && d.servicedSinceReplay > 0 {
-		d.issueReplay(func() {
-			d.idle = true
-			d.rearmIfWork()
-		})
+		d.issueReplay(d.next.goIdle)
 		return
 	}
 	if d.buf.Drops() > d.dropsReplayed {
 		d.m.forcedReplays.Inc(1)
-		d.issueReplay(func() {
-			d.idle = true
-			d.rearmIfWork()
-		})
+		d.issueReplay(d.next.goIdle)
 		return
 	}
+	d.goIdle()
+}
+
+// goIdle ends the pass, restarting at once if work is waiting.
+func (d *Driver) goIdle() {
 	d.idle = true
 	d.rearmIfWork()
 }

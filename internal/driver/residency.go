@@ -42,18 +42,19 @@ type Residency interface {
 	Released(b *mem.VABlock)
 }
 
-// serviceRemote services a bin whose block a peer device owns: instead
-// of migrating pages, the driver installs remote mappings over the
-// fabric. A bin whose block is already remote-mapped is stale — its
-// faults were raised before the mapping was installed — and costs only
-// fixed bookkeeping, mirroring the stale path in migrate.
-func (d *Driver) serviceRemote(bins []*bin, i int) {
-	block := d.space.Block(bins[i].block)
-	if block.Remote {
+// serviceRemote services the current bin when a peer device owns its
+// block: instead of migrating pages, the driver installs remote mappings
+// over the fabric. A bin whose block is already remote-mapped is stale —
+// its faults were raised before the mapping was installed — and costs
+// only fixed bookkeeping, mirroring the stale path in migrate.
+func (d *Driver) serviceRemote() {
+	block := d.space.Block(d.bins[d.cur].block)
+	d.stale = block.Remote
+	if d.stale {
 		d.m.staleBins.Inc(1)
 		cost := d.cfg.ServiceFixedPerBlock
 		d.chargeSpan(obs.SpanMigrate, cost, 0)
-		d.eng.After(cost, func() { d.afterRemote(bins, i, true) })
+		d.eng.After(cost, d.next.afterRemote)
 		return
 	}
 	pages := d.res.RemoteMap(block)
@@ -63,25 +64,8 @@ func (d *Driver) serviceRemote(bins []*bin, i int) {
 	d.m.remoteMaps.Inc(1)
 	d.chargeSpan(obs.SpanRemoteMap, cost, int64(pages))
 	d.servicedSinceReplay++
-	d.eng.After(cost, func() { d.afterRemote(bins, i, false) })
+	d.eng.After(cost, d.next.afterRemote)
 }
 
-// afterRemote is serviceRemote's continuation: lifecycle terminal states
-// and the per-block replay policy, mirroring afterMap.
-func (d *Driver) afterRemote(bins []*bin, i int, stale bool) {
-	if d.life.Enabled() {
-		now := d.eng.Now()
-		for _, seq := range bins[i].seqs {
-			if stale {
-				d.life.ServicedStale(seq, now)
-			} else {
-				d.life.Serviced(seq, now)
-			}
-		}
-	}
-	if d.cfg.Policy == ReplayBlock {
-		d.issueReplay(func() { d.serviceBlock(bins, i+1) })
-		return
-	}
-	d.serviceBlock(bins, i+1)
-}
+// afterRemote is serviceRemote's continuation, mirroring afterMap.
+func (d *Driver) afterRemote() { d.finishBin(d.stale) }

@@ -1,6 +1,11 @@
 package evict
 
-import "testing"
+import (
+	"testing"
+
+	"uvmsim/internal/mem"
+	"uvmsim/internal/sim"
+)
 
 // TestLRUFreeListReuse exercises the node pool: churned nodes come back
 // from the free list with clean links and the list stays consistent.
@@ -32,8 +37,8 @@ func TestLRUFreeListReuse(t *testing.T) {
 }
 
 // TestLRUChurnAllocFree pins the steady-state Insert/Touch/Remove cycle
-// at zero allocations once the pool is warm. The map delete/re-add pair
-// stays within the map's existing buckets, so the whole eviction churn
+// at zero allocations once the pool is warm: nodes come from the free
+// list and the block table is already grown, so the whole eviction churn
 // path never reaches the allocator.
 func TestLRUChurnAllocFree(t *testing.T) {
 	l := NewLRU()
@@ -50,5 +55,65 @@ func TestLRUChurnAllocFree(t *testing.T) {
 		i++
 	}); n != 0 {
 		t.Errorf("LRU churn allocates %v times per cycle, want 0", n)
+	}
+}
+
+// TestRandomAndAccessAwareChurnOnTables churns blocks with sparse,
+// out-of-order IDs through Random and AccessAware: each block-indexed
+// table grows past its end on demand, and removal leaves no stale entry
+// that a later insert of the same ID would trip over.
+func TestRandomAndAccessAwareChurnOnTables(t *testing.T) {
+	ids := []mem.VABlockID{900, 3, 57, 0, 511, 12}
+	for _, p := range []Policy{NewRandom(sim.NewRNG(3)), NewAccessAware()} {
+		live := map[mem.VABlockID]*mem.VABlock{}
+		for round := 0; round < 40; round++ {
+			id := ids[round%len(ids)]
+			if b, ok := live[id]; ok {
+				b.GPUAccesses += uint64(round) // every other cycle looks hot to AccessAware
+				p.Touch(b)
+				p.Remove(b)
+				delete(live, id)
+			} else {
+				b := &mem.VABlock{ID: id}
+				p.Insert(b)
+				live[id] = b
+			}
+			if p.Len() != len(live) {
+				t.Fatalf("%s round %d: Len = %d, want %d", p.Name(), round, p.Len(), len(live))
+			}
+			if v := p.Victim(); len(live) > 0 && (v == nil || live[v.ID] != v) {
+				t.Fatalf("%s round %d: victim %v is not a live block", p.Name(), round, v)
+			}
+		}
+		for id, b := range live {
+			p.Remove(b)
+			delete(live, id)
+		}
+		if p.Len() != 0 || p.Victim() != nil {
+			t.Errorf("%s: emptied policy reports Len %d and a victim", p.Name(), p.Len())
+		}
+	}
+}
+
+// TestPolicyChurnAllocFree extends the LRU pin to FIFO, Random and
+// AccessAware: once their block tables are grown, the eviction churn
+// cycle allocates nothing.
+func TestPolicyChurnAllocFree(t *testing.T) {
+	for _, p := range []Policy{NewFIFO(), NewRandom(sim.NewRNG(5)), NewAccessAware()} {
+		bs := blocks(8)
+		for _, b := range bs {
+			p.Insert(b)
+		}
+		i := 0
+		if n := testing.AllocsPerRun(200, func() {
+			v := p.Victim()
+			p.Remove(v)
+			v.GPUAccesses++
+			p.Insert(v)
+			p.Touch(bs[i%len(bs)])
+			i++
+		}); n != 0 {
+			t.Errorf("%s churn allocates %v times per cycle, want 0", p.Name(), n)
+		}
 	}
 }

@@ -62,22 +62,32 @@ type lruNode struct {
 // collector: under oversubscription every serviced bin can evict and
 // re-insert a block, so the steady-state Insert/Remove churn reuses a
 // bounded set of nodes and allocates nothing.
+//
+// Nodes are found through a block-indexed table (nil = not registered),
+// grown to the highest block ID ever inserted.
 type LRU struct {
 	head, tail *lruNode // head = most recently touched
-	nodes      map[mem.VABlockID]*lruNode
+	nodes      []*lruNode
+	n          int      // registered blocks
 	free       *lruNode // singly linked (via next) recycled nodes
 }
 
 // NewLRU returns an empty LRU policy.
-func NewLRU() *LRU {
-	return &LRU{nodes: make(map[mem.VABlockID]*lruNode)}
-}
+func NewLRU() *LRU { return &LRU{} }
 
 // Name implements Policy.
 func (l *LRU) Name() string { return "lru" }
 
 // Len implements Policy.
-func (l *LRU) Len() int { return len(l.nodes) }
+func (l *LRU) Len() int { return l.n }
+
+// node returns the registered node of block id, or nil.
+func (l *LRU) node(id mem.VABlockID) *lruNode {
+	if id >= mem.VABlockID(len(l.nodes)) {
+		return nil
+	}
+	return l.nodes[id]
+}
 
 func (l *LRU) pushFront(n *lruNode) {
 	n.prev = nil
@@ -108,7 +118,7 @@ func (l *LRU) unlink(n *lruNode) {
 // Insert implements Policy. Inserting an already-present block panics:
 // the driver allocates a block exactly once per residency period.
 func (l *LRU) Insert(b *mem.VABlock) {
-	if _, ok := l.nodes[b.ID]; ok {
+	if l.node(b.ID) != nil {
 		panic(fmt.Sprintf("evict: duplicate insert of block %d", b.ID))
 	}
 	n := l.free
@@ -119,14 +129,16 @@ func (l *LRU) Insert(b *mem.VABlock) {
 	} else {
 		n = &lruNode{block: b}
 	}
+	l.nodes = mem.GrowTable(l.nodes, b.ID, nil)
 	l.nodes[b.ID] = n
+	l.n++
 	l.pushFront(n)
 }
 
 // Touch implements Policy.
 func (l *LRU) Touch(b *mem.VABlock) {
-	n, ok := l.nodes[b.ID]
-	if !ok {
+	n := l.node(b.ID)
+	if n == nil {
 		panic(fmt.Sprintf("evict: touch of unregistered block %d", b.ID))
 	}
 	if l.head == n {
@@ -138,12 +150,13 @@ func (l *LRU) Touch(b *mem.VABlock) {
 
 // Remove implements Policy.
 func (l *LRU) Remove(b *mem.VABlock) {
-	n, ok := l.nodes[b.ID]
-	if !ok {
+	n := l.node(b.ID)
+	if n == nil {
 		panic(fmt.Sprintf("evict: remove of unregistered block %d", b.ID))
 	}
 	l.unlink(n)
-	delete(l.nodes, b.ID)
+	l.nodes[b.ID] = nil
+	l.n--
 	n.block = nil // drop the block reference while pooled
 	n.next = l.free
 	l.free = n
@@ -173,7 +186,7 @@ type FIFO struct {
 }
 
 // NewFIFO returns an empty FIFO policy.
-func NewFIFO() *FIFO { return &FIFO{lru: *NewLRU()} }
+func NewFIFO() *FIFO { return &FIFO{} }
 
 // Name implements Policy.
 func (f *FIFO) Name() string { return "fifo" }
@@ -186,7 +199,7 @@ func (f *FIFO) Insert(b *mem.VABlock) { f.lru.Insert(b) }
 
 // Touch implements Policy (no reordering).
 func (f *FIFO) Touch(b *mem.VABlock) {
-	if _, ok := f.lru.nodes[b.ID]; !ok {
+	if f.lru.node(b.ID) == nil {
 		panic(fmt.Sprintf("evict: touch of unregistered block %d", b.ID))
 	}
 }
@@ -201,12 +214,20 @@ func (f *FIFO) Victim() *mem.VABlock { return f.lru.Victim() }
 type Random struct {
 	rng   *sim.RNG
 	order []*mem.VABlock
-	index map[mem.VABlockID]int
+	// index is block-indexed: the block's position in order, or -1 when
+	// it is not registered.
+	index []int
 }
 
 // NewRandom returns an empty random policy using rng.
-func NewRandom(rng *sim.RNG) *Random {
-	return &Random{rng: rng, index: make(map[mem.VABlockID]int)}
+func NewRandom(rng *sim.RNG) *Random { return &Random{rng: rng} }
+
+// pos returns block id's position in order, or -1.
+func (r *Random) pos(id mem.VABlockID) int {
+	if id >= mem.VABlockID(len(r.index)) {
+		return -1
+	}
+	return r.index[id]
 }
 
 // Name implements Policy.
@@ -217,31 +238,32 @@ func (r *Random) Len() int { return len(r.order) }
 
 // Insert implements Policy.
 func (r *Random) Insert(b *mem.VABlock) {
-	if _, ok := r.index[b.ID]; ok {
+	if r.pos(b.ID) >= 0 {
 		panic(fmt.Sprintf("evict: duplicate insert of block %d", b.ID))
 	}
+	r.index = mem.GrowTable(r.index, b.ID, -1)
 	r.index[b.ID] = len(r.order)
 	r.order = append(r.order, b)
 }
 
 // Touch implements Policy (no-op).
 func (r *Random) Touch(b *mem.VABlock) {
-	if _, ok := r.index[b.ID]; !ok {
+	if r.pos(b.ID) < 0 {
 		panic(fmt.Sprintf("evict: touch of unregistered block %d", b.ID))
 	}
 }
 
 // Remove implements Policy (swap-delete).
 func (r *Random) Remove(b *mem.VABlock) {
-	i, ok := r.index[b.ID]
-	if !ok {
+	i := r.pos(b.ID)
+	if i < 0 {
 		panic(fmt.Sprintf("evict: remove of unregistered block %d", b.ID))
 	}
 	last := len(r.order) - 1
 	r.order[i] = r.order[last]
 	r.index[r.order[i].ID] = i
 	r.order = r.order[:last]
-	delete(r.index, b.ID)
+	r.index[b.ID] = -1
 }
 
 // Victim implements Policy.
@@ -258,14 +280,14 @@ func (r *Random) Victim() *mem.VABlock {
 // fixing the hot-data starvation of fault-only LRU. The scan is bounded
 // to one full cycle so Victim always terminates.
 type AccessAware struct {
-	lru      LRU
-	lastSeen map[mem.VABlockID]uint64
+	lru LRU
+	// lastSeen is block-indexed: each registered block's access counter
+	// as of its insertion or last second chance.
+	lastSeen []uint64
 }
 
 // NewAccessAware returns an empty access-aware policy.
-func NewAccessAware() *AccessAware {
-	return &AccessAware{lru: *NewLRU(), lastSeen: make(map[mem.VABlockID]uint64)}
-}
+func NewAccessAware() *AccessAware { return &AccessAware{} }
 
 // Name implements Policy.
 func (a *AccessAware) Name() string { return "access-aware" }
@@ -276,6 +298,7 @@ func (a *AccessAware) Len() int { return a.lru.Len() }
 // Insert implements Policy.
 func (a *AccessAware) Insert(b *mem.VABlock) {
 	a.lru.Insert(b)
+	a.lastSeen = mem.GrowTable(a.lastSeen, b.ID, 0)
 	a.lastSeen[b.ID] = b.GPUAccesses
 }
 
@@ -285,7 +308,7 @@ func (a *AccessAware) Touch(b *mem.VABlock) { a.lru.Touch(b) }
 // Remove implements Policy.
 func (a *AccessAware) Remove(b *mem.VABlock) {
 	a.lru.Remove(b)
-	delete(a.lastSeen, b.ID)
+	a.lastSeen[b.ID] = 0
 }
 
 // Victim implements Policy.

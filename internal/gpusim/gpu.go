@@ -543,11 +543,18 @@ func (g *GPU) retire(w *warpRun) {
 	g.sms[w.sm].freeSlots += len(br.warps)
 	// The block has fully drained: every warp (including w) has retired
 	// and holds no pending events, so its runs recycle into the pools.
+	// Pooled runs drop their programs, and the GPU drops the kernel once
+	// its last block retires, so a finished kernel's access lists can be
+	// collected as soon as the caller lets go of it.
+	for _, pw := range br.warps {
+		pw.prog = nil
+	}
 	g.freeWarps = append(g.freeWarps, br.warps...)
 	g.freeBlocks = append(g.freeBlocks, br)
 	g.doneBlocks++
 	if g.doneBlocks == g.totalBlocks {
 		g.running = false
+		g.kernel = nil
 		if g.doneCb != nil {
 			g.doneCb(g.eng.Now())
 		}

@@ -91,7 +91,11 @@ type VABlock struct {
 type AddressSpace struct {
 	geom   Geometry
 	ranges []*Range
-	blocks map[VABlockID]*VABlock
+	// blocks is the block table, indexed by VABlockID. IDs are dense from
+	// 0 because AllocMode lays ranges out contiguously on block
+	// boundaries, so the table grows with every range and a nil entry is
+	// a block not yet materialized (DESIGN.md §12).
+	blocks []*VABlock
 	// nextPage is the next VABlock-aligned free virtual page.
 	nextPage PageID
 	// special is set once any non-migrate range exists; the GPU's hot
@@ -101,7 +105,7 @@ type AddressSpace struct {
 
 // NewAddressSpace returns an empty address space with the given geometry.
 func NewAddressSpace(g Geometry) *AddressSpace {
-	return &AddressSpace{geom: g, blocks: make(map[VABlockID]*VABlock)}
+	return &AddressSpace{geom: g}
 }
 
 // Geometry returns the space's geometry.
@@ -137,6 +141,7 @@ func (s *AddressSpace) AllocMode(size int64, label string, mode AccessMode) (*Ra
 	}
 	s.ranges = append(s.ranges, r)
 	s.nextPage += PageID(blocks * per)
+	s.blocks = append(s.blocks, make([]*VABlock, blocks)...)
 	if mode != ModeMigrate {
 		s.special = true
 	}
@@ -201,25 +206,16 @@ func (s *AddressSpace) TotalPages() int {
 // It panics when the block lies outside every range: faults can only
 // originate from allocated virtual addresses.
 func (s *AddressSpace) Block(id VABlockID) *VABlock {
-	if b, ok := s.blocks[id]; ok {
-		return b
-	}
-	first := s.geom.FirstPage(id)
-	r := s.RangeOf(first)
-	if r == nil {
-		// The first page of the block may sit in padding only when the
-		// range ends mid-block; map through the containing range instead.
-		for _, cand := range s.ranges {
-			start := s.geom.BlockOf(cand.StartPage)
-			if id >= start && id < start+VABlockID(cand.Blocks) {
-				r = cand
-				break
-			}
-		}
-	}
-	if r == nil {
+	if id >= VABlockID(len(s.blocks)) {
 		panic(fmt.Sprintf("mem: VABlock %d outside every range", id))
 	}
+	if b := s.blocks[id]; b != nil {
+		return b
+	}
+	// A block's first page always lies inside its range: ranges start on
+	// block boundaries and only the tail of a range's last block is
+	// padding.
+	r := s.RangeOf(s.geom.FirstPage(id))
 	b := &VABlock{
 		ID:       id,
 		Range:    r.ID,
@@ -234,23 +230,29 @@ func (s *AddressSpace) Block(id VABlockID) *VABlock {
 
 // BlockIfExists returns the materialized block state or nil.
 func (s *AddressSpace) BlockIfExists(id VABlockID) *VABlock {
+	if id >= VABlockID(len(s.blocks)) {
+		return nil
+	}
 	return s.blocks[id]
 }
 
 // IsResident reports whether page p is currently resident on the GPU.
 func (s *AddressSpace) IsResident(p PageID) bool {
-	b := s.blocks[s.geom.BlockOf(p)]
+	b := s.BlockIfExists(s.geom.BlockOf(p))
 	if b == nil {
 		return false
 	}
 	return b.Resident.Get(s.geom.PageIndex(p))
 }
 
-// ForEachBlock visits every materialized VABlock in unspecified order
-// (the invariant checker's residency sweep).
+// ForEachBlock visits every materialized VABlock in ascending ID order
+// (the invariant checkers' residency sweeps). Callers must not depend on
+// the order beyond its being deterministic.
 func (s *AddressSpace) ForEachBlock(fn func(*VABlock)) {
 	for _, b := range s.blocks {
-		fn(b)
+		if b != nil {
+			fn(b)
+		}
 	}
 }
 
@@ -258,7 +260,9 @@ func (s *AddressSpace) ForEachBlock(fn func(*VABlock)) {
 func (s *AddressSpace) ResidentPages() int {
 	n := 0
 	for _, b := range s.blocks {
-		n += b.Resident.Count()
+		if b != nil {
+			n += b.Resident.Count()
+		}
 	}
 	return n
 }

@@ -53,7 +53,11 @@ func (v *Invariants) audit(now sim.Time) {
 	m := v.m
 	// Owner map → views: the owner's view holds local backing; no peer
 	// view holds local backing for the same block.
-	for id, o := range m.owner {
+	for i, o := range m.owner {
+		if o < 0 {
+			continue
+		}
+		id := mem.VABlockID(i)
 		blk := m.devs[o].Space.BlockIfExists(id)
 		if blk == nil || !blk.Allocated {
 			v.violate(now, fmt.Sprintf("block %d owned by device %d but not allocated in its view", id, o))
@@ -63,11 +67,11 @@ func (v *Invariants) audit(now sim.Time) {
 		}
 	}
 	// Remote mask → views and back; remote holders require a live owner.
-	for id, mask := range m.remote {
+	for i, mask := range m.remote {
 		if mask == 0 {
 			continue
 		}
-		if _, ok := m.owner[id]; !ok {
+		if id := mem.VABlockID(i); m.Owner(id) < 0 {
 			// Host-owned blocks must not retain remote mappings: Released
 			// invalidates holders before dropping ownership.
 			for d := range m.devs {
@@ -87,15 +91,15 @@ func (v *Invariants) audit(now sim.Time) {
 		dev.Space.ForEachBlock(func(b *mem.VABlock) {
 			if b.Allocated {
 				allocated++
-				if o, ok := m.owner[b.ID]; !ok || o != d {
+				if m.Owner(b.ID) != d {
 					v.violate(now, fmt.Sprintf("device %d view has block %d allocated but residency map says owner=%d", d, b.ID, m.Owner(b.ID)))
 				}
 			}
 			if b.Remote {
-				if m.remote[b.ID]&(1<<uint(d)) == 0 {
+				if m.remoteMask(b.ID)&(1<<uint(d)) == 0 {
 					v.violate(now, fmt.Sprintf("device %d view has block %d remote but residency map lists no such holder", d, b.ID))
 				}
-				if o, ok := m.owner[b.ID]; !ok {
+				if o := m.Owner(b.ID); o < 0 {
 					v.violate(now, fmt.Sprintf("device %d view has block %d remote but no device owns it", d, b.ID))
 				} else if o == d {
 					v.violate(now, fmt.Sprintf("device %d view has block %d remote-mapped to itself", d, b.ID))

@@ -120,16 +120,20 @@ type Manager struct {
 	devs []*Device
 	fab  *Fabric
 
-	// owner maps a VABlock to the device holding its physical backing;
-	// absent means host-resident (the initial state and the state after
-	// the owner evicts).
-	owner map[mem.VABlockID]int
+	// The residency map is three block-indexed tables, grown together
+	// (grow) to the highest block ID claimed or mapped so far; entries
+	// past their end read as host-owned, unmapped and uncounted.
+	//
+	// owner is the device holding a block's physical backing, or -1 when
+	// it is host-resident (the initial state and the state after the
+	// owner evicts).
+	owner []int
 	// remote is the per-block bitmask of devices holding remote mappings.
-	remote map[mem.VABlockID]uint64
-	// counts is the per-block, per-device remote-access counter feeding
-	// the AccessCounter policy. Allocated lazily per block; absent under
-	// FirstTouch.
-	counts map[mem.VABlockID][]uint32
+	remote []uint64
+	// counts holds the per-device remote-access counters feeding the
+	// AccessCounter policy, K per block: block id's counters are
+	// counts[id*K : id*K+K]. Zero under FirstTouch.
+	counts []uint32
 
 	reg               *obs.Registry
 	remoteAccesses    *obs.Counter
@@ -168,9 +172,6 @@ func NewManager(eng *sim.Engine, cfg Config, devs []*Device) (*Manager, error) {
 		cfg:               cfg,
 		devs:              devs,
 		fab:               newFabric(eng, cfg.Peer, devs),
-		owner:             make(map[mem.VABlockID]int),
-		remote:            make(map[mem.VABlockID]uint64),
-		counts:            make(map[mem.VABlockID][]uint32),
 		reg:               reg,
 		remoteAccesses:    reg.Counter("p2p_remote_accesses"),
 		migrations:        reg.Counter("p2p_migrations"),
@@ -191,10 +192,35 @@ func (m *Manager) Registry() *obs.Registry { return m.reg }
 
 // Owner returns the device owning block id, or -1 for host.
 func (m *Manager) Owner(id mem.VABlockID) int {
-	if o, ok := m.owner[id]; ok {
-		return o
+	if id >= mem.VABlockID(len(m.owner)) {
+		return -1
 	}
-	return -1
+	return m.owner[id]
+}
+
+// remoteMask returns block id's remote-holder bitmask.
+func (m *Manager) remoteMask(id mem.VABlockID) uint64 {
+	if id >= mem.VABlockID(len(m.remote)) {
+		return 0
+	}
+	return m.remote[id]
+}
+
+// grow extends the residency tables to cover block id.
+func (m *Manager) grow(id mem.VABlockID) {
+	if id < mem.VABlockID(len(m.owner)) {
+		return
+	}
+	m.owner = mem.GrowTable(m.owner, id, -1)
+	m.remote = mem.GrowTable(m.remote, id, 0)
+	m.counts = mem.GrowTable(m.counts, mem.VABlockID((int(id)+1)*len(m.devs)-1), 0)
+}
+
+// blockCounts returns block id's per-device remote-access counters.
+// The tables must already cover id.
+func (m *Manager) blockCounts(id mem.VABlockID) []uint32 {
+	k := len(m.devs)
+	return m.counts[int(id)*k : int(id)*k+k]
 }
 
 // ---- driver hook (per-device view of the residency map) ----
@@ -212,9 +238,8 @@ func (m *Manager) DriverHook(dev int) driver.Residency {
 
 // Classify implements driver.Residency.
 func (v driverView) Classify(id mem.VABlockID) driver.Ownership {
-	o, ok := v.m.owner[id]
-	switch {
-	case !ok:
+	switch o := v.m.Owner(id); {
+	case o < 0:
 		return driver.OwnHost
 	case o == v.dev:
 		return driver.OwnSelf
@@ -232,6 +257,7 @@ func (v driverView) RemoteMap(b *mem.VABlock) int {
 	if valid > 0 {
 		b.Resident.SetRange(0, valid)
 	}
+	m.grow(b.ID)
 	m.remote[b.ID] |= 1 << uint(dev)
 	return valid
 }
@@ -239,11 +265,12 @@ func (v driverView) RemoteMap(b *mem.VABlock) int {
 // Claimed implements driver.Residency: dev allocated backing for b.
 func (v driverView) Claimed(b *mem.VABlock) {
 	m := v.m
-	if o, ok := m.owner[b.ID]; ok && o != v.dev {
+	if o := m.Owner(b.ID); o >= 0 && o != v.dev {
 		panic(fmt.Sprintf("multigpu: device %d claimed block %d already owned by device %d", v.dev, b.ID, o))
 	}
+	m.grow(b.ID)
 	m.owner[b.ID] = v.dev
-	delete(m.counts, b.ID)
+	clear(m.blockCounts(b.ID))
 }
 
 // Released implements driver.Residency: dev evicted b. Ownership returns
@@ -251,7 +278,8 @@ func (v driverView) Claimed(b *mem.VABlock) {
 // next access re-faults and re-services from host memory.
 func (v driverView) Released(b *mem.VABlock) {
 	m := v.m
-	delete(m.owner, b.ID)
+	m.grow(b.ID)
+	m.owner[b.ID] = -1
 	mask := m.remote[b.ID]
 	if mask != 0 {
 		for d := 0; d < len(m.devs); d++ {
@@ -265,9 +293,9 @@ func (v driverView) Released(b *mem.VABlock) {
 			}
 			m.invalidations.Inc(1)
 		}
-		delete(m.remote, b.ID)
+		m.remote[b.ID] = 0
 	}
-	delete(m.counts, b.ID)
+	clear(m.blockCounts(b.ID))
 }
 
 // ---- GPU hook (remote access routing) ----
@@ -277,8 +305,8 @@ func (v driverView) Released(b *mem.VABlock) {
 // AccessCounter policy it also advances the per-device counter and
 // schedules a migration when the threshold is reached.
 func (m *Manager) RemoteAccess(dev int, page mem.PageID, write bool, b *mem.VABlock) sim.Duration {
-	o, ok := m.owner[b.ID]
-	if !ok {
+	o := m.Owner(b.ID)
+	if o < 0 {
 		// No device owns the block: either a host-pinned zero-copy range
 		// (ModeRemoteMap) or a mapping mid-invalidation. Both service from
 		// host memory over this device's own link, exactly like the
@@ -300,13 +328,10 @@ func (m *Manager) RemoteAccess(dev int, page mem.PageID, write bool, b *mem.VABl
 		ownerBlk.Dirty.Set(m.devs[o].Space.Geometry().PageIndex(page))
 	}
 	if m.cfg.Policy == AccessCounter && o != dev {
-		c := m.counts[b.ID]
-		if c == nil {
-			c = make([]uint32, len(m.devs))
-			m.counts[b.ID] = c
-		}
-		c[dev]++
-		if c[dev] == uint32(m.cfg.Threshold) {
+		// o >= 0, so the owner table (and with it counts) covers the block.
+		c := &m.counts[int(b.ID)*len(m.devs)+dev]
+		*c++
+		if *c == uint32(m.cfg.Threshold) {
 			id, dst, expect := b.ID, dev, o
 			m.eng.After(0, func() { m.tryMigrate(id, dst, expect) })
 		}
@@ -319,8 +344,8 @@ func (m *Manager) RemoteAccess(dev int, page mem.PageID, write bool, b *mem.VABl
 // (ownership moved, mapping invalidated) are dropped; destination memory
 // pressure aborts and re-arms the counter.
 func (m *Manager) tryMigrate(id mem.VABlockID, dst, expectOwner int) {
-	cur, ok := m.owner[id]
-	if !ok || cur != expectOwner || cur == dst {
+	cur := m.Owner(id)
+	if cur < 0 || cur != expectOwner || cur == dst {
 		return
 	}
 	dstDev := m.devs[dst]
@@ -330,9 +355,7 @@ func (m *Manager) tryMigrate(id mem.VABlockID, dst, expectOwner int) {
 	}
 	if _, err := dstDev.PMA.Alloc(); err != nil {
 		m.migrationsAborted.Inc(1)
-		if c := m.counts[id]; c != nil {
-			c[dst] = 0
-		}
+		m.blockCounts(id)[dst] = 0
 		return
 	}
 	srcDev := m.devs[cur]
@@ -356,7 +379,7 @@ func (m *Manager) tryMigrate(id mem.VABlockID, dst, expectOwner int) {
 	srcBlk.Evictions++
 	m.owner[id] = dst
 	m.remote[id] &^= 1 << uint(dst)
-	delete(m.counts, id)
+	clear(m.blockCounts(id))
 	m.migrations.Inc(1)
 }
 
@@ -364,6 +387,7 @@ func (m *Manager) tryMigrate(id mem.VABlockID, dst, expectOwner int) {
 // staged (owner = dev) and remote-maps it on every other device, the
 // naive explicit multi-GPU distribution RunExplicit models.
 func (m *Manager) PrestageOwner(dev int, b *mem.VABlock) {
+	m.grow(b.ID)
 	m.owner[b.ID] = dev
 	for d := range m.devs {
 		if d == dev {

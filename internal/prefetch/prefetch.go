@@ -31,7 +31,8 @@ type Context struct {
 	Oversubscribed bool
 }
 
-// Prefetcher plans which pages to migrate for a faulted VABlock.
+// Prefetcher plans which pages to migrate for a faulted VABlock. Plan
+// must not retain ctx: the driver reuses one Context for every block.
 type Prefetcher interface {
 	Name() string
 	Plan(ctx *Context) tree.Result

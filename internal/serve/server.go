@@ -332,12 +332,14 @@ func (s *Server) runSweep(ctx context.Context, spec *sweep.Spec, onProgress func
 func (s *Server) prepare(req SweepRequest) (SweepRequest, *sweep.Spec, int, string, error) {
 	req = req.withDefaults()
 	spec := req.spec(s.cfg.DefaultBudget, s.cfg.BudgetCap)
+	// Bound the cross product before enumerating it: a short body can
+	// name billions of cells (the count saturates at the largest int).
+	if n := spec.Cells(); n > s.cfg.MaxCells {
+		return req, nil, 0, "", fmt.Errorf("serve: sweep has %d cells, limit %d", n, s.cfg.MaxCells)
+	}
 	configs, err := spec.Configs() // validates every dimension up front
 	if err != nil {
 		return req, nil, 0, "", err
-	}
-	if len(configs) > s.cfg.MaxCells {
-		return req, nil, 0, "", fmt.Errorf("serve: sweep has %d cells, limit %d", len(configs), s.cfg.MaxCells)
 	}
 	hash := hashOf(req.fingerprint("sweep", spec.Budget))
 	return req, spec, len(configs), hash, nil

@@ -15,6 +15,7 @@ package sweep
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"uvmsim/internal/cell"
 	"uvmsim/internal/core"
@@ -116,6 +117,47 @@ func (s *Spec) Validate() error {
 	return err
 }
 
+// Cells returns how many cells Configs enumerates, without enumerating
+// them: the product of the list lengths, counting one migration entry
+// for each single-GPU device count (the axis collapses at K=1). It
+// saturates at math.MaxInt, so a request-sized spec can be bounded
+// before anything proportional to its cross product is allocated.
+func (s *Spec) Cells() int {
+	migration := max(len(s.Migration), 1)
+	perGPUs := 0
+	if len(s.GPUs) == 0 {
+		perGPUs = 1
+	}
+	for _, k := range s.GPUs {
+		if k <= 1 {
+			perGPUs = addSat(perGPUs, 1)
+		} else {
+			perGPUs = addSat(perGPUs, migration)
+		}
+	}
+	n := perGPUs
+	for _, l := range []int{len(s.Footprints), len(s.Prefetch), len(s.Replay), len(s.Evict), len(s.Batch), len(s.VABlock)} {
+		n = mulSat(n, l)
+	}
+	return n
+}
+
+// addSat and mulSat are non-negative int arithmetic saturating at
+// math.MaxInt.
+func addSat(a, b int) int {
+	if a > math.MaxInt-b {
+		return math.MaxInt
+	}
+	return a + b
+}
+
+func mulSat(a, b int) int {
+	if a != 0 && b > math.MaxInt/a {
+		return math.MaxInt
+	}
+	return a * b
+}
+
 // Configs expands the cross product in deterministic declaration order:
 // footprint outermost, then prefetch, replay, evict, batch, VABlock,
 // GPUs, migration — the same nesting the serial CLI always printed, with
@@ -152,9 +194,11 @@ func (s *Spec) Configs() ([]cell.Spec, error) {
 	if len(gpus) == 0 {
 		gpus = []int{1}
 	}
-	out := make([]cell.Spec, 0,
-		len(s.Footprints)*len(s.Prefetch)*len(replay)*len(s.Evict)*
-			len(s.Batch)*len(s.VABlock)*len(gpus)*len(migration))
+	n := s.Cells()
+	if n == math.MaxInt {
+		return nil, fmt.Errorf("sweep: cross product overflows int")
+	}
+	out := make([]cell.Spec, 0, n)
 	c := cell.Spec{Workload: s.Workload, GPUMemoryBytes: s.GPUMemoryBytes, Seed: s.Seed, Budget: s.Budget}
 	for _, c.Footprint = range s.Footprints {
 		for _, c.Prefetch = range s.Prefetch {

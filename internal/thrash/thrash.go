@@ -52,10 +52,14 @@ type Detector struct {
 	cfg   Config
 	inner evict.Policy
 
-	clock       uint64 // global eviction counter
-	evictedAt   map[mem.VABlockID]uint64
-	bounces     map[mem.VABlockID]int
-	pinnedUntil map[mem.VABlockID]uint64
+	// Block-indexed tables; the zero entry means "none", which every
+	// lookup reads the same as an absent block. The clock starts at 0 and
+	// ticks before each stamp, so a recorded eviction is never 0, and an
+	// expired or zero lease is simply one the clock has reached.
+	clock       uint64   // global eviction counter
+	evictedAt   []uint64 // clock at the block's last eviction; 0 = none pending
+	bounces     []int    // consecutive bounces
+	pinnedUntil []uint64 // clock at which the block's pin lease ends
 
 	stats Stats
 }
@@ -71,13 +75,7 @@ func New(cfg Config, inner evict.Policy) (*Detector, error) {
 	if cfg.WindowEvictions == 0 || cfg.PinEvictions == 0 {
 		return nil, fmt.Errorf("thrash: window and pin lease must be positive")
 	}
-	return &Detector{
-		cfg:         cfg,
-		inner:       inner,
-		evictedAt:   make(map[mem.VABlockID]uint64),
-		bounces:     make(map[mem.VABlockID]int),
-		pinnedUntil: make(map[mem.VABlockID]uint64),
-	}, nil
+	return &Detector{cfg: cfg, inner: inner}, nil
 }
 
 // Name implements evict.Policy.
@@ -91,21 +89,14 @@ func (d *Detector) Stats() Stats { return d.stats }
 
 // Pinned reports whether block id currently holds a pin lease.
 func (d *Detector) Pinned(id mem.VABlockID) bool {
-	until, ok := d.pinnedUntil[id]
-	if !ok {
-		return false
-	}
-	if d.clock >= until {
-		delete(d.pinnedUntil, id)
-		return false
-	}
-	return true
+	return id < mem.VABlockID(len(d.pinnedUntil)) && d.clock < d.pinnedUntil[id]
 }
 
 // Insert implements evict.Policy: a (re-)allocation. Re-allocation soon
 // (in eviction counts) after eviction is the thrash signal.
 func (d *Detector) Insert(b *mem.VABlock) {
-	if at, ok := d.evictedAt[b.ID]; ok {
+	d.grow(b.ID)
+	if at := d.evictedAt[b.ID]; at != 0 {
 		if d.clock-at <= d.cfg.WindowEvictions {
 			d.bounces[b.ID]++
 			d.stats.ThrashEvents++
@@ -116,9 +107,16 @@ func (d *Detector) Insert(b *mem.VABlock) {
 		} else {
 			d.bounces[b.ID] = 0 // the bounce streak cooled off
 		}
-		delete(d.evictedAt, b.ID)
+		d.evictedAt[b.ID] = 0
 	}
 	d.inner.Insert(b)
+}
+
+// grow extends the block tables to cover id.
+func (d *Detector) grow(id mem.VABlockID) {
+	d.evictedAt = mem.GrowTable(d.evictedAt, id, 0)
+	d.bounces = mem.GrowTable(d.bounces, id, 0)
+	d.pinnedUntil = mem.GrowTable(d.pinnedUntil, id, 0)
 }
 
 // Touch implements evict.Policy.
@@ -127,6 +125,7 @@ func (d *Detector) Touch(b *mem.VABlock) { d.inner.Touch(b) }
 // Remove implements evict.Policy: an eviction (or teardown).
 func (d *Detector) Remove(b *mem.VABlock) {
 	d.clock++
+	d.grow(b.ID)
 	d.evictedAt[b.ID] = d.clock
 	d.inner.Remove(b)
 }
